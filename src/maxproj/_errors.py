@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage errors exit 1, InputError/DataError
-exit 2, NumericalError exit 3.
+The CLI maps these onto exit codes: usage errors (bad options, InputError)
+exit 1, DataError exits 2, NumericalError exits 3.
 """
 
 

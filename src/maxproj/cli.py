@@ -141,7 +141,7 @@ def main(argv=None):
         return 2
     except InputError as exc:
         print(f"maxproj: error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except NumericalError as exc:
         print(f"maxproj: numerical error: {exc}", file=sys.stderr)
         return 3

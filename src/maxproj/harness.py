@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -169,6 +170,9 @@ class RunConfig:
                 raise InputError(f"{attr} must be >= 1")
         if self.fmt not in ("csv", "json"):
             raise InputError("format must be csv or json")
+        if not self.betas or not all(isinstance(b, numbers.Integral) and b >= 1
+                                     for b in self.betas):
+            raise InputError(f"powers must be integers >= 1, got {list(self.betas)}")
 
     @property
     def m(self):

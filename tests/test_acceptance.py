@@ -351,4 +351,23 @@ def test_c12_byte_identical_output_across_workers(acceptance, tmp_path, capsys):
     assert main(common + ["--workers", "8", "--out", str(f2)]) == 0
     capsys.readouterr()
     same = f1.read_bytes() == f2.read_bytes()
-    acceptance(12, same, f"critvals CSV identical for workers 1 vs 8 ({f1.stat().st_size} bytes)")
+    detail = [f"critvals CSV identical for workers 1 vs 8 ({f1.stat().st_size} bytes)"]
+
+    rng = np.random.default_rng(12)
+    catalogue = tmp_path / "catalogue.csv"
+    rows = [f"{math.degrees(math.asin(u)):.6f},{lon:.6f}"
+            for u, lon in zip(rng.uniform(-1.0, 1.0, 80), rng.uniform(-180.0, 180.0, 80))]
+    catalogue.write_text("lat,lon\n" + "\n".join(rows) + "\n")
+    small = ["--n", "40", "--beta", "1", "3", "4", "--reps", "200", "--cover-m", "500",
+             "--seed", "12"]
+    for command in (
+        ["test", "--d", "3", "--data", str(catalogue), *small],
+        ["power", "--d", "3", *small, "--power-reps", "130", "--alt", "vmf:kappa=1"],
+    ):
+        g1, g2 = tmp_path / f"{command[0]}_w1.csv", tmp_path / f"{command[0]}_w2.csv"
+        assert main(command + ["--workers", "1", "--out", str(g1)]) == 0
+        assert main(command + ["--workers", "2", "--out", str(g2)]) == 0
+        capsys.readouterr()
+        same = same and g1.read_bytes() == g2.read_bytes()
+        detail.append(f"{command[0]} CSV identical for workers 1 vs 2 ({g1.stat().st_size} bytes)")
+    acceptance(12, same, "; ".join(detail))

@@ -1,9 +1,14 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maxproj
 from maxproj.cli import main
 
 
@@ -112,3 +117,18 @@ def test_exit_codes(tmp_path, capsys):
     assert "data error" in err
     code, _, err = run_cli(["test", "--data", str(tmp_path / "missing.csv")], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("beta", ["0", "-1"])
+def test_bad_power_is_a_usage_error(beta):
+    src = str(Path(maxproj.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxproj.cli", "critvals", "--d", "3", "--beta", beta,
+         "--reps", "10"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "powers must be integers >= 1" in proc.stderr

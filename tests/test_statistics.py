@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special as sps
 
 from maxproj import InputError
@@ -9,6 +10,9 @@ from maxproj.geometry import make_cover, random_rotation, uniform_points
 from maxproj.rng import stream
 from maxproj.samplers import VonMisesFisher, sample
 from maxproj.statistics import (
+    _direct_values,
+    _moment_route_cheaper,
+    _moment_values,
     ca_statistic,
     ca_test,
     circle_classical,
@@ -18,6 +22,7 @@ from maxproj.statistics import (
     kolmogorov_sf,
     ks_statistic,
     max_projection_stat,
+    max_projection_values,
     projection_cdf,
     sphere_sobolev,
     t1_closed,
@@ -83,6 +88,88 @@ def test_cover_monotone_in_nested_covers():
 def test_dimension_mismatch_rejected():
     with pytest.raises(InputError):
         max_projection_stat(np.eye(3), 1, np.eye(2))
+
+
+# --- the two routes of max_projection_values ------------------------------------
+
+ROUTES = (_direct_values, _moment_values)
+ROUTE_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def _route_case(d, n, seed, m=300):
+    return uniform_points(d, n, stream(60, seed, 0)), uniform_points(d, m, stream(60, seed, 1))
+
+
+@ROUTE_SETTINGS
+@given(
+    d=st.sampled_from((2, 3, 4, 5)),
+    n=st.sampled_from((1, 20, 100, 1000)),
+    betas=st.sets(st.integers(1, 12), min_size=1),
+    seed=st.integers(0, 2**16),
+)
+def test_moment_route_matches_direct_route(d, n, betas, seed):
+    x, cover = _route_case(d, n, seed)
+    betas = sorted(betas)
+    direct = _direct_values(x, betas, cover, 512)
+    moment = _moment_values(x, betas, cover, 512)
+    for b in betas:
+        assert abs(moment[b] - direct[b]) <= 1e-12 * direct[b], (b, moment[b], direct[b])
+
+
+@ROUTE_SETTINGS
+@given(
+    d=st.sampled_from((2, 3, 4, 5)),
+    n=st.sampled_from((1, 20, 100, 1000)),
+    seed=st.integers(0, 2**16),
+)
+def test_moment_route_never_exceeds_closed_forms(d, n, seed):
+    x, cover = _route_case(d, n, seed, m=2000)
+    moment = _moment_values(x, [1, 2], cover, 512)
+    assert moment[1] <= t1_closed(x) + 1e-12
+    assert moment[2] <= t2_closed(x) + 1e-12
+
+
+@ROUTE_SETTINGS
+@given(d=st.sampled_from((2, 3, 4, 5)), n=st.sampled_from((20, 100)), seed=st.integers(0, 2**16))
+def test_routes_rotation_invariant(d, n, seed):
+    x, cover = _route_case(d, n, seed)
+    rot = random_rotation(d, stream(60, seed, 2))
+    betas = [3, 4, 5, 6]
+    for route in ROUTES:
+        base = route(x, betas, cover, 512)
+        rotated = route(x @ rot.T, betas, cover @ rot.T, 512)
+        for b in betas:
+            assert rotated[b] == pytest.approx(base[b], rel=1e-9, abs=1e-12)
+
+
+@ROUTE_SETTINGS
+@given(
+    d=st.sampled_from((2, 3, 4, 5)),
+    n=st.sampled_from((20, 100)),
+    m_small=st.integers(5, 700),
+    seed=st.integers(0, 2**16),
+)
+def test_routes_monotone_in_nested_covers(d, n, m_small, seed):
+    x, cover = _route_case(d, n, seed, m=1500)
+    betas = [1, 2, 3, 4, 6]
+    for route in ROUTES:
+        small = route(x, betas, cover[:m_small], 512)
+        big = route(x, betas, cover, 512)
+        for b in betas:
+            assert big[b] >= small[b] * (1.0 - 1e-12)
+
+
+def test_route_dispatch():
+    # beta_max = 6: R = 461 monomials at d = 5 outweigh n = 100 sample points
+    assert not _moment_route_cheaper(5, 100, 20000, 6)
+    assert _moment_route_cheaper(3, 100, 5000, 6)
+    assert _moment_route_cheaper(3, 1000, 5000, 6)
+    # R = 11439 monomials: the cost terms alone would pick the moment route,
+    # the cap on its feature arrays does not
+    assert not _moment_route_cheaper(7, 10**7, 20000, 9)
+    x = uniform_points(3, 1000, stream(61))
+    cover = uniform_points(3, 700, stream(62))
+    assert max_projection_values(x, [3, 6], cover) == _moment_values(x, [3, 6], cover, 512)
 
 
 # --- circle battery ----------------------------------------------------------
@@ -200,6 +287,17 @@ def test_ca_single_projection_is_ks_pvalue():
     out = ca_test(x, 1, stream(26, 0))
     assert out.value == pytest.approx(expect, abs=1e-12)
     assert out.metadata["tail"] == "lower"
+
+
+def test_ca_statistic_matches_per_column_loop():
+    for d, q in ((2, 25), (3, 100), (5, 100)):
+        for r in range(40):
+            x = uniform_points(d, 50, stream(28, d, r))
+            proj = x @ uniform_points(d, q, stream(29, d, r)).T
+            expect = min(
+                kolmogorov_sf(math.sqrt(50) * ks_statistic(proj[:, j], d=d)) for j in range(q)
+            )
+            assert ca_statistic(x, q, stream(29, d, r)) == expect
 
 
 # --- projected Cramer-von Mises -------------------------------------------------
