@@ -8,6 +8,9 @@ the classical competitor tests, local Bahadur efficiencies, and a
 deterministic Monte Carlo harness (also exposed as the ``maxproj`` CLI).
 """
 
+# before the submodule imports: the harness stamps it on every output row
+__version__ = "0.1.0"
+
 from ._errors import DataError, InputError, NumericalError
 from .geometry import (
     DirectionCover,
@@ -45,8 +48,6 @@ from .statistics import (
 )
 from .bahadur import are_table, gamma_shift, kl_divergence, local_are, slope
 from .harness import RunConfig, cmd_critvals, cmd_power, cmd_test, ingest, mc_pvalue
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Bingham",

@@ -37,16 +37,7 @@ from .legendre import (
     psi,
     psi_exact,
 )
-from .special import (  # noqa: F401  (re-exported special-function apparatus)
-    bessel_i,
-    kummer_m,
-    vmf_mean_resultant,
-    vmf_norm_const,
-    vmf_norm_ratio,
-    watson_mean_square,
-    watson_norm_const,
-    watson_norm_ratio,
-)
+from .special import vmf_mean_resultant, vmf_norm_ratio, watson_mean_square, watson_norm_ratio
 
 _SERIES_TOL = 1e-14
 _SERIES_CAP = 10_000

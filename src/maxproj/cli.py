@@ -10,6 +10,7 @@ import sys
 
 from ._errors import DataError, InputError, NumericalError
 from .harness import (
+    LIMIT_TOKENS,
     RunConfig,
     cmd_bahadur,
     cmd_critvals,
@@ -29,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_n(token):
-    if token in ("inf", "inf*"):
+    if token in LIMIT_TOKENS:
         return token
     try:
         return int(token)
@@ -101,8 +102,6 @@ def _config_from(args):
         power_replications=getattr(args, "power_reps", 5000),
         seed=args.seed,
         workers=args.workers,
-        out=args.out,
-        fmt=args.format,
         alternatives=tuple(getattr(args, "alt", None) or DEFAULT_ALTERNATIVES),
         min_diameter=getattr(args, "min_diameter", None),
         data=getattr(args, "data", None),
@@ -112,30 +111,32 @@ def _config_from(args):
     )
 
 
+def _ingest_check(args):
+    _, report = ingest(args.data, min_diameter=args.min_diameter)
+    print(
+        f"schema={report.schema} read={report.rows_read} kept={report.rows_kept} "
+        f"repaired={report.rows_repaired} skipped={report.rows_skipped} "
+        f"filtered={report.rows_filtered}"
+    )
+
+
+#: subcommand -> function of the parsed arguments returning the rows to write
+#: (None when the command prints its own report)
+COMMANDS = {
+    "critvals": lambda args: cmd_critvals(_config_from(args)),
+    "power": lambda args: cmd_power(_config_from(args)),
+    "test": lambda args: cmd_test(_config_from(args)),
+    "limit": lambda args: cmd_limit(_config_from(args)),
+    "bahadur": lambda args: cmd_bahadur(dims=tuple(args.d)),
+    "ingest-check": _ingest_check,
+}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "critvals":
-            rows = cmd_critvals(_config_from(args))
-        elif args.command == "power":
-            rows = cmd_power(_config_from(args))
-        elif args.command == "test":
-            rows = cmd_test(_config_from(args))
-        elif args.command == "limit":
-            rows = cmd_limit(_config_from(args))
-        elif args.command == "bahadur":
-            rows = cmd_bahadur(dims=tuple(args.d))
-        elif args.command == "ingest-check":
-            _, report = ingest(args.data, min_diameter=args.min_diameter)
-            print(
-                f"schema={report.schema} read={report.rows_read} kept={report.rows_kept} "
-                f"repaired={report.rows_repaired} skipped={report.rows_skipped} "
-                f"filtered={report.rows_filtered}"
-            )
-            return 0
-        else:  # pragma: no cover
-            raise InputError(f"unknown command {args.command!r}")
+        rows = COMMANDS[args.command](args)
     except DataError as exc:
         print(f"maxproj: data error: {exc}", file=sys.stderr)
         return 2
@@ -145,8 +146,9 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"maxproj: numerical error: {exc}", file=sys.stderr)
         return 3
-    out_path = getattr(args, "out", None)
-    text = write_rows(rows, fmt=getattr(args, "format", "csv"), path=out_path)
+    if rows is None:
+        return 0
+    text = write_rows(rows, fmt=args.format, path=args.out)
     if text is not None:
         sys.stdout.write(text)
     return 0

@@ -37,12 +37,13 @@ def normalize_rows(arr):
     repaired : ndarray of bool
         Rows whose norm deviated from 1 by more than ``UNIT_TOL``.
     bad : ndarray of bool
-        Rows with norm below ``REPAIR_FLOOR``; these are left untouched in
-        ``unit`` and must be dropped or reported by the caller.
+        Rows with norm below ``REPAIR_FLOOR`` or not finite (a NaN or
+        infinite coordinate); these are left untouched in ``unit`` and must
+        be dropped or reported by the caller.
     """
     arr = np.asarray(arr, dtype=float)
     norms = np.linalg.norm(arr, axis=-1)
-    bad = norms < REPAIR_FLOOR
+    bad = ~np.isfinite(norms) | (norms < REPAIR_FLOOR)
     repaired = (np.abs(norms - 1.0) > UNIT_TOL) & ~bad
     safe = np.where(bad, 1.0, norms)
     unit = arr / safe[..., None]
@@ -53,7 +54,7 @@ def as_unit_vector(v):
     """Validate/normalize a single direction vector."""
     unit, _, bad = normalize_rows(np.atleast_2d(v))
     if bad.any():
-        raise InputError("direction has (near-)zero norm and cannot be normalized")
+        raise InputError("direction has (near-)zero or non-finite norm and cannot be normalized")
     return unit[0]
 
 

@@ -22,6 +22,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from . import __version__
 from ._errors import DataError, InputError
 from .geometry import SphericalSample, latlon_to_unit, normalize_rows, uniform_points
 from .limits import limit_quantile, quantile_stderr
@@ -37,10 +38,11 @@ from .statistics import (
     t2_closed,
 )
 
-TOOL_VERSION = "0.1.0"
-
 #: statistics whose small values are significant
 LOWER_TAIL = {"ca25", "ca100"}
+
+#: sample-size tokens of the limiting distribution and the route that simulates it
+LIMIT_TOKENS = {"inf": "kernel", "inf*": "harmonic"}
 
 
 def default_cover_m(d):
@@ -153,8 +155,6 @@ class RunConfig:
     power_replications: int = 5_000
     seed: int = 20230419
     workers: int = 1
-    out: str = None
-    fmt: str = "csv"
     alternatives: tuple = ()
     min_diameter: float = None
     data: str = None
@@ -168,8 +168,14 @@ class RunConfig:
         for attr in ("null_replications", "power_replications", "workers"):
             if getattr(self, attr) < 1:
                 raise InputError(f"{attr} must be >= 1")
-        if self.fmt not in ("csv", "json"):
-            raise InputError("format must be csv or json")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
+        for n in self.n:
+            if isinstance(n, str):
+                if n not in LIMIT_TOKENS:
+                    raise InputError(f"unknown sample-size token {n!r}")
+            elif n < 1:
+                raise InputError(f"sample sizes must be >= 1, got {n}")
         if not self.betas or not all(isinstance(b, numbers.Integral) and b >= 1
                                      for b in self.betas):
             raise InputError(f"powers must be integers >= 1, got {list(self.betas)}")
@@ -193,6 +199,14 @@ def simulate_null(config, n, competitors=False, betas=None):
     return run_replications(task, config.null_replications, config.workers)
 
 
+def _with_provenance(rows, config):
+    """Append the ``seed`` and ``tool_version`` columns, last in every row."""
+    for row in rows:
+        row["seed"] = config.seed
+        row["tool_version"] = __version__
+    return rows
+
+
 def critical_value(null_values, alpha, name):
     q = alpha if name in LOWER_TAIL else 1.0 - alpha
     return float(np.quantile(null_values, q))
@@ -207,19 +221,8 @@ def cmd_critvals(config, competitors=False):
     rows = []
     for n in config.n:
         if isinstance(n, str):
-            method = {"inf": "kernel", "inf*": "harmonic"}.get(n)
-            if method is None:
-                raise InputError(f"unknown sample-size token {n!r}")
             for beta in config.betas:
-                lq = limit_quantile(
-                    beta,
-                    config.d,
-                    alpha=1.0 - config.alpha,
-                    method=method,
-                    m=config.limit_m,
-                    replications=config.limit_replications,
-                    seed=config.seed,
-                )
+                lq = _limit_quantile(config, beta, LIMIT_TOKENS[n])
                 rows.append(
                     {
                         "d": config.d,
@@ -230,8 +233,6 @@ def cmd_critvals(config, competitors=False):
                         "mc_stderr": lq.mc_stderr,
                         "replications": lq.replications,
                         "cover_m": lq.m,
-                        "seed": config.seed,
-                        "tool_version": TOOL_VERSION,
                     }
                 )
             continue
@@ -250,11 +251,9 @@ def cmd_critvals(config, competitors=False):
                     ),
                     "replications": config.null_replications,
                     "cover_m": config.m,
-                    "seed": config.seed,
-                    "tool_version": TOOL_VERSION,
                 }
             )
-    return rows
+    return _with_provenance(rows, config)
 
 
 def rejection_rates(stats, critvals):
@@ -305,11 +304,9 @@ def cmd_power(config):
                     "power_replications": config.power_replications,
                     "null_replications": config.null_replications,
                     "alpha": config.alpha,
-                    "seed": config.seed,
-                    "tool_version": TOOL_VERSION,
                 }
             )
-    return rows
+    return _with_provenance(rows, config)
 
 
 def mc_pvalue(null_values, observed, lower_tail=False):
@@ -356,25 +353,27 @@ def cmd_test(config):
                 "rows_kept": report.rows_kept,
                 "rows_repaired": report.rows_repaired,
                 "rows_skipped": report.rows_skipped,
-                "seed": config.seed,
-                "tool_version": TOOL_VERSION,
             }
         )
-    return rows
+    return _with_provenance(rows, config)
+
+
+def _limit_quantile(config, beta, method):
+    return limit_quantile(
+        beta,
+        config.d,
+        alpha=1.0 - config.alpha,
+        method=method,
+        m=config.limit_m,
+        replications=config.limit_replications,
+        seed=config.seed,
+    )
 
 
 def cmd_limit(config):
     rows = []
     for beta in config.betas:
-        lq = limit_quantile(
-            beta,
-            config.d,
-            alpha=1.0 - config.alpha,
-            method=config.limit_method,
-            m=config.limit_m,
-            replications=config.limit_replications,
-            seed=config.seed,
-        )
+        lq = _limit_quantile(config, beta, config.limit_method)
         rows.append(
             {
                 "d": config.d,
@@ -385,11 +384,9 @@ def cmd_limit(config):
                 "mc_stderr": lq.mc_stderr,
                 "replications": lq.replications,
                 "cover_m": lq.m,
-                "seed": config.seed,
-                "tool_version": TOOL_VERSION,
             }
         )
-    return rows
+    return _with_provenance(rows, config)
 
 
 def cmd_bahadur(dims=(2, 3, 5, 10)):
@@ -400,7 +397,7 @@ def cmd_bahadur(dims=(2, 3, 5, 10)):
         out = {"alternative": row["alternative"], "beta": row["beta"]}
         for d in dims:
             out[f"d={d}"] = round(row[f"d={d}"], 2 if row[f"d={d}"] >= 0.005 else 3)
-        out["tool_version"] = TOOL_VERSION
+        out["tool_version"] = __version__
         rows.append(out)
     return rows
 
@@ -419,7 +416,7 @@ class IngestReport:
     schema: str = ""
 
 
-def ingest(path, fmt="csv", min_diameter=None):
+def ingest(path, min_diameter=None):
     """Read a CSV of directions into a SphericalSample.
 
     Accepted schemas (by header): ``lat,lon`` in degrees (d = 3), or
@@ -427,8 +424,6 @@ def ingest(path, fmt="csv", min_diameter=None):
     supports ``min_diameter`` filtering.  Slightly off-sphere coordinate rows
     are renormalized and counted; rows that cannot be repaired are skipped.
     """
-    if fmt != "csv":
-        raise DataError(f"unsupported format {fmt!r}; expected csv")
     try:
         fh = open(path, newline="")
     except OSError as exc:

@@ -14,6 +14,8 @@ free integers such as a replication index.
 
 import numpy as np
 
+from ._errors import InputError
+
 # Namespace constants; never renumber, streams are part of the output contract.
 NS_COVER = 1
 NS_SAMPLE = 2
@@ -39,7 +41,7 @@ def stream(seed, *path):
     numpy.random.Generator
     """
     if seed < 0:
-        raise ValueError("seed must be non-negative")
+        raise InputError("seed must be non-negative")
     key = tuple(int(p) for p in path)
     ss = np.random.SeedSequence(int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))

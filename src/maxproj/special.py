@@ -1,8 +1,7 @@
-"""Special functions for the concentration families.
+"""Normalizing constants and moments of the concentration families.
 
-Series implementations of the modified Bessel function I_p and Kummer's
-confluent hypergeometric M(a, b, x), plus the derived quantities used by the
-von Mises-Fisher and Watson families:
+The von Mises-Fisher and Watson quantities used by the samplers and the
+efficiency calculations, each one ``scipy.special`` evaluation:
 
 ``vmf_norm_const``      a_d(kappa)   = integral of exp(kappa t) over the sphere
 ``vmf_mean_resultant``  A_d(kappa)   = E kappa-concentrated (theta . U)
@@ -12,52 +11,13 @@ von Mises-Fisher and Watson families:
 The *_ratio variants return the constants divided by the sphere area; they
 stay exactly 1 + O(kappa^2) near zero, which keeps small-kappa
 Kullback-Leibler evaluations free of cancellation.  The documented range is
-kappa in [0, 50]; the series are truncated once a term falls below 1e-14 of
-the running sum (10000-term hard cap).
+kappa in [0, 50].
 """
 
-import math
+from scipy import special as sps
 
-from ._errors import InputError, NumericalError
+from ._errors import InputError
 from .geometry import surface_area
-
-_TERM_TOL = 1e-14
-_MAX_TERMS = 10_000
-
-
-def bessel_i(p, x):
-    """Modified Bessel function of the first kind by its power series."""
-    if p < 0:
-        raise InputError(f"order must be >= 0, got {p}")
-    if x < 0:
-        raise InputError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if p == 0 else 0.0
-    q = 0.25 * x * x
-    term = (0.5 * x) ** p / math.gamma(p + 1.0)
-    total = term
-    for r in range(1, _MAX_TERMS):
-        term *= q / (r * (p + r))
-        total += term
-        if term < _TERM_TOL * total:
-            return total
-    raise NumericalError(f"Bessel series did not converge for p={p}, x={x}")
-
-
-def kummer_m(a, b, x):
-    """Kummer's M(a, b, x) by its power series, for b > a > 0 and x >= 0."""
-    if not b > a > 0:
-        raise InputError(f"need b > a > 0, got a={a}, b={b}")
-    if x < 0:
-        raise InputError(f"argument must be >= 0, got {x}")
-    term = 1.0
-    total = 1.0
-    for r in range(_MAX_TERMS):
-        term *= (a + r) / (b + r) * x / (r + 1.0)
-        total += term
-        if term < _TERM_TOL * total:
-            return total
-    raise NumericalError(f"Kummer series did not converge for x={x}")
 
 
 def vmf_mean_resultant(d, kappa):
@@ -65,23 +25,15 @@ def vmf_mean_resultant(d, kappa):
     if kappa < 0:
         raise InputError("concentration must be >= 0")
     if kappa == 0.0:
-        return 0.0
-    return bessel_i(d / 2.0, kappa) / bessel_i(d / 2.0 - 1.0, kappa)
+        return 0.0  # both scaled Bessel values vanish there for d > 2
+    return float(sps.ive(d / 2.0, kappa) / sps.ive(d / 2.0 - 1.0, kappa))
 
 
 def vmf_norm_ratio(d, kappa):
-    """a_d(kappa) / |S^{d-1}|, the hypergeometric series 0F1(d/2; kappa^2/4)."""
+    """a_d(kappa) / |S^{d-1}|, the hypergeometric function 0F1(d/2; kappa^2/4)."""
     if kappa < 0:
         raise InputError("concentration must be >= 0")
-    q = 0.25 * kappa * kappa
-    term = 1.0
-    total = 1.0
-    for r in range(_MAX_TERMS):
-        term *= q / ((r + 1.0) * (d / 2.0 + r))
-        total += term
-        if term < _TERM_TOL * total:
-            return total
-    raise NumericalError(f"norm-ratio series did not converge for kappa={kappa}")
+    return float(sps.hyp0f1(d / 2.0, 0.25 * kappa * kappa))
 
 
 def vmf_norm_const(d, kappa):
@@ -93,9 +45,7 @@ def watson_norm_ratio(d, kappa):
     """d_d(kappa) / |S^{d-1}| = M(1/2, d/2, kappa)."""
     if kappa < 0:
         raise InputError("concentration must be >= 0")
-    if kappa == 0.0:
-        return 1.0
-    return kummer_m(0.5, d / 2.0, kappa)
+    return float(sps.hyp1f1(0.5, d / 2.0, kappa))
 
 
 def watson_norm_const(d, kappa):
@@ -107,6 +57,4 @@ def watson_mean_square(d, kappa):
     """D_d(kappa) = M(3/2, d/2+1, kappa) / (d M(1/2, d/2, kappa))."""
     if kappa < 0:
         raise InputError("concentration must be >= 0")
-    if kappa == 0.0:
-        return 1.0 / d
-    return kummer_m(1.5, d / 2.0 + 1.0, kappa) / (d * kummer_m(0.5, d / 2.0, kappa))
+    return float(sps.hyp1f1(1.5, d / 2.0 + 1.0, kappa) / (d * sps.hyp1f1(0.5, d / 2.0, kappa)))

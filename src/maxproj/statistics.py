@@ -36,7 +36,6 @@ __all__ = [
     "circle_classical",
     "sphere_sobolev",
     "projection_cdf",
-    "kolmogorov_sf",
     "ks_statistic",
     "ca_test",
     "cvm_test",
@@ -261,7 +260,7 @@ def circle_classical(sample):
     return {
         "kuiper": float(kuiper),
         "watson_u2": watson,
-        "ajne": _ajne(x),
+        "ajne": _ajne(n, _pairwise_angles(x)),
         "rayleigh_mod": _rayleigh_mod(x),
     }
 
@@ -273,9 +272,9 @@ def _pairwise_angles(x):
     return theta[iu]
 
 
-def _ajne(x):
-    n = x.shape[0]
-    return float(n / 4.0 - np.sum(_pairwise_angles(x)) / (n * math.pi))
+def _ajne(n, theta):
+    """Ajne's statistic from the n (n - 1) / 2 pairwise angles ``theta``."""
+    return float(n / 4.0 - np.sum(theta) / (n * math.pi))
 
 
 def _rayleigh_mod(x):
@@ -293,8 +292,9 @@ def sphere_sobolev(sample, include_gine=None):
         include_gine = d >= 3
     s = (x.T @ x) / n
     bingham = n * d * (d + 2.0) / 2.0 * (float(np.trace(s @ s)) - 1.0 / d)
+    theta = _pairwise_angles(x)
     out = {
-        "ajne": _ajne(x),
+        "ajne": _ajne(n, theta),
         "rayleigh_mod": _rayleigh_mod(x),
         "bingham": float(bingham),
     }
@@ -302,7 +302,7 @@ def sphere_sobolev(sample, include_gine=None):
         if d < 3:
             raise InputError("the Gine statistic is defined here only for d >= 3")
         coeff = (d - 1.0) * math.gamma(d / 2.0 - 1.0) ** 2 / (2.0 * n * math.gamma(d / 2.0) ** 2)
-        out["gine"] = float(n / 2.0 - coeff * np.sum(np.sin(_pairwise_angles(x))))
+        out["gine"] = float(n / 2.0 - coeff * np.sum(np.sin(theta)))
     return out
 
 
@@ -326,32 +326,6 @@ def _projection_pdf(d, y):
     return (1.0 - y * y) ** ((d - 3) / 2.0) / sps.beta(0.5, (d - 1) / 2.0)
 
 
-def kolmogorov_sf(lam):
-    """Asymptotic Kolmogorov survival function Q(lam) = 2 sum (-1)^{r-1} e^{-2 r^2 lam^2}.
-
-    Series truncated at 1e-10; the theta-dual form is used for small lam
-    where the alternating series converges slowly.
-    """
-    if lam <= 0.0:
-        return 1.0
-    if lam < 0.4:
-        # 1 - sqrt(2 pi)/lam * sum exp(-(2r-1)^2 pi^2 / (8 lam^2))
-        total = 0.0
-        for r in range(1, 80):
-            term = math.exp(-((2 * r - 1) ** 2) * math.pi**2 / (8.0 * lam * lam))
-            total += term
-            if term < 1e-12 * max(total, 1e-300):
-                break
-        return min(1.0, max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / lam * total))
-    total = 0.0
-    for r in range(1, 200):
-        term = 2.0 * (-1.0) ** (r - 1) * math.exp(-2.0 * r * r * lam * lam)
-        total += term
-        if abs(term) < 1e-10:
-            break
-    return min(1.0, max(0.0, total))
-
-
 def ks_statistic(values, cdf_values=None, d=None):
     """One-sample Kolmogorov-Smirnov sup distance against F_{d-1}.
 
@@ -368,8 +342,9 @@ def ks_statistic(values, cdf_values=None, d=None):
 def ca_statistic(x, q, rng):
     """Minimum of q projected-KS p-values; small values are significant.
 
-    ``kolmogorov_sf`` is decreasing, so the smallest p-value is the one of
-    the largest KS distance: all q columns are sorted and scored at once.
+    The p-values are asymptotic Kolmogorov tails Q(sqrt(n) KS), and Q is
+    decreasing, so the smallest p-value is the one of the largest KS distance:
+    all q columns are sorted and scored at once.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -378,7 +353,7 @@ def ca_statistic(x, q, rng):
     f = projection_cdf(d, v)
     i = np.arange(1, n + 1)[:, None]
     k = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
-    return kolmogorov_sf(math.sqrt(n) * k)
+    return float(sps.kolmogorov(math.sqrt(n) * k))
 
 
 def ca_test(sample, q, rng):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import maxproj
 from maxproj.cli import main
@@ -119,16 +121,70 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("beta", ["0", "-1"])
-def test_bad_power_is_a_usage_error(beta):
+def run_module(args):
+    """Run ``python -m maxproj.cli`` on this source tree in a fresh process."""
     src = str(Path(maxproj.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "maxproj.cli", "critvals", "--d", "3", "--beta", beta,
-         "--reps", "10"],
+    return subprocess.run(
+        [sys.executable, "-m", "maxproj.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("beta", ["0", "-1"])
+def test_bad_power_is_a_usage_error(beta):
+    proc = run_module(["critvals", "--d", "3", "--beta", beta, "--reps", "10"])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "powers must be integers >= 1" in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["critvals", "--seed", "-1"], "seed must be >= 0"),
+    (["limit", "--seed", "-1"], "seed must be >= 0"),
+    (["critvals", "--n", "-5"], "sample sizes must be >= 1"),
+])
+def test_negative_seed_or_size_is_a_usage_error(args, message):
+    proc = run_module(args + ["--reps", "10"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_non_finite_rows_are_skipped(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,x2,x3\n1,0,0\n0,1,0\nnan,0.5,0.5\n0,0,1\ninf,0,1\n0.6,0.8,0\n0,0.6,0.8\n")
+    code, out, _ = run_cli(["ingest-check", "--data", str(path)], capsys)
+    assert code == 0
+    assert "read=7 kept=5 repaired=0 skipped=2" in out
+    code, out, _ = run_cli(["test", "--data", str(path), "--reps", "20", "--cover-m", "100"],
+                           capsys)
+    assert code == 0
+    assert all(row["rows_skipped"] == "2" for row in csv.DictReader(io.StringIO(out)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["critvals", "limit"]),
+    d=st.integers(-1, 5),
+    n=st.lists(st.integers(-2, 40).map(str) | st.sampled_from(["inf", "inf*"]),
+               min_size=1, max_size=2),
+    cover_m=st.integers(-2, 50),
+    betas=st.lists(st.integers(-1, 6), min_size=1, max_size=2),
+    alpha=st.sampled_from([-0.5, 0.0, 0.05, 0.5, 1.0]),
+    seed=st.integers(-2, 3),
+    reps=st.integers(-1, 5),
+)
+def test_cli_fuzz_exits_with_a_documented_code(command, d, n, cover_m, betas, alpha, seed,
+                                               reps):
+    argv = [command, "--d", str(d), "--n", *n, "--cover-m", str(cover_m),
+            "--beta", *map(str, betas), "--alpha", str(alpha), "--seed", str(seed),
+            "--reps", str(reps)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+            assert code == 1
+    assert code in (0, 1, 2, 3)

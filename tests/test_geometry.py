@@ -122,10 +122,10 @@ def test_make_cover_size_preconditions():
 
 
 def test_normalize_rows_repair_policy():
-    arr = np.array([[1.0, 0.0], [0.0, 2.0], [1e-9, 0.0]])
+    arr = np.array([[1.0, 0.0], [0.0, 2.0], [1e-9, 0.0], [np.nan, 0.5], [np.inf, 1.0]])
     unit, repaired, bad = normalize_rows(arr)
-    assert repaired.tolist() == [False, True, False]
-    assert bad.tolist() == [False, False, True]
+    assert repaired.tolist() == [False, True, False, False, False]
+    assert bad.tolist() == [False, False, True, True, True]
     np.testing.assert_allclose(unit[1], [0, 1], atol=1e-15)
 
 

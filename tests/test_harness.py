@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maxproj
 from conftest import SEED_SIZE, WORKERS
 from maxproj import DataError, InputError
 from maxproj.geometry import uniform_points
@@ -42,6 +44,13 @@ def test_run_is_independent_of_worker_count():
     assert sorted(a) == sorted(b)
     for name in a:
         assert np.array_equal(a[name], b[name])
+
+
+def test_negative_seed_is_an_input_error():
+    with pytest.raises(InputError):
+        stream(-1)
+    with pytest.raises(InputError):
+        small_config(seed=-1)
 
 
 def test_battery_names_by_dimension():
@@ -89,6 +98,16 @@ def test_cmd_critvals_rows_and_limit_rows():
         assert r["tool_version"] == "0.1.0"
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # setuptools calls [tool.setuptools] beta
+def test_version_has_one_source():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = read_configuration(pyproject)["project"]["version"]
+    row = cmd_critvals(small_config(betas=(1,), null_replications=10))[0]
+    assert version == maxproj.__version__ == row["tool_version"]
+
+
 def test_csv_output_is_stable_and_quoted():
     rows = [
         {"a": 1, "b": 0.5, "label": "x,y"},
@@ -126,6 +145,15 @@ def test_ingest_coordinates_with_repair(tmp_path):
     assert report.rows_kept == 2
     np.testing.assert_allclose(samp.points[0], [0.6, 0.8], atol=1e-12)
     np.testing.assert_allclose(samp.points[1], [0.6, 0.8], atol=1e-12)
+
+
+def test_ingest_skips_non_finite_rows(tmp_path):
+    p = tmp_path / "pts.csv"
+    p.write_text("x1,x2,x3\n1,0,0\n0,1,0\nnan,0.5,0.5\n0,0,1\ninf,0,1\n0.6,0.8,0\n0,0.6,0.8\n")
+    samp, report = ingest(p)
+    assert (report.rows_read, report.rows_kept) == (7, 5)
+    assert (report.rows_skipped, report.rows_repaired) == (2, 0)
+    assert np.all(np.isfinite(samp.points))
 
 
 def test_ingest_diameter_filter(tmp_path):

@@ -7,8 +7,6 @@ from scipy import special as sps
 from maxproj import InputError
 from maxproj.geometry import surface_area
 from maxproj.special import (
-    bessel_i,
-    kummer_m,
     vmf_mean_resultant,
     vmf_norm_const,
     vmf_norm_ratio,
@@ -17,38 +15,11 @@ from maxproj.special import (
     watson_norm_ratio,
 )
 
-KAPPAS = (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0)
-
-
-def test_bessel_series_against_scipy():
-    for p in (0.0, 0.5, 1.0, 1.5, 2.5, 4.0):
-        for x in KAPPAS:
-            assert bessel_i(p, x) == pytest.approx(float(sps.iv(p, x)), rel=1e-12)
-
-
-def test_bessel_recurrence_by_central_differences():
-    # x I_p'(x) = p I_p(x) + x I_{p+1}(x)
-    for p in (1.0, 1.5, 2.0):
-        for x in (0.5, 1.0, 3.0, 10.0):
-            h = 1e-5
-            deriv = (bessel_i(p, x + h) - bessel_i(p, x - h)) / (2.0 * h)
-            target = p * bessel_i(p, x) + x * bessel_i(p + 1, x)
-            assert x * deriv == pytest.approx(target, rel=1e-9, abs=1e-9)
-
-
-def test_kummer_series_against_scipy():
-    for a, b in ((0.5, 1.0), (0.5, 1.5), (1.5, 2.5), (0.5, 5.0)):
-        for x in KAPPAS:
-            assert kummer_m(a, b, x) == pytest.approx(float(sps.hyp1f1(a, b, x)), rel=1e-12)
-
-
-def test_kummer_at_zero_is_one():
-    assert kummer_m(0.5, 1.5, 0.0) == 1.0
-
-
-def test_kummer_rejects_bad_parameters():
-    with pytest.raises(InputError):
-        kummer_m(2.0, 1.0, 0.5)
+def test_family_constants_reject_negative_kappa():
+    for fn in (vmf_mean_resultant, vmf_norm_const, vmf_norm_ratio,
+               watson_mean_square, watson_norm_const, watson_norm_ratio):
+        with pytest.raises(InputError):
+            fn(3, -0.5)
 
 
 def test_mean_resultant_closed_form_d3():
@@ -76,6 +47,7 @@ def test_norm_const_tends_to_surface_area():
     for d in (2, 3, 5, 10):
         assert abs(vmf_norm_const(d, 1e-6) - surface_area(d)) <= 1e-10
         assert vmf_norm_ratio(d, 0.0) == 1.0
+        assert watson_norm_ratio(d, 0.0) == 1.0
 
 
 def test_watson_norm_ratio_is_kummer():
