@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from ._errors import InputError, NumericalError
 from .kernels import ZonalKernel, shift_amplitude_exact
@@ -72,6 +71,7 @@ def kl_divergence(alt, d, kappa, m=None):
         return watson_mean_square(d, kappa) * kappa - math.log(watson_norm_ratio(d, kappa))
     if kappa > 1.0:
         raise InputError("profile-class kappa must lie in (0, 1]")
+    from scipy import integrate
 
     def bump(x):
         # (1+x) log(1+x) - x; the linear term of the integrand is removed

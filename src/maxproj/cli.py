@@ -8,6 +8,8 @@ Subcommands: ``critvals``, ``power``, ``test``, ``limit``, ``bahadur``,
 import argparse
 import sys
 
+import numpy as np
+
 from ._errors import DataError, InputError, NumericalError
 from .harness import (
     LIMIT_TOKENS,
@@ -137,18 +139,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         rows = COMMANDS[args.command](args)
+        text = None if rows is None else write_rows(rows, fmt=args.format, path=args.out)
     except DataError as exc:
         print(f"maxproj: data error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"maxproj: error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"maxproj: numerical error: {exc}", file=sys.stderr)
         return 3
-    if rows is None:
-        return 0
-    text = write_rows(rows, fmt=args.format, path=args.out)
     if text is not None:
         sys.stdout.write(text)
     return 0

@@ -129,7 +129,11 @@ def run_replications(task, replications, workers=1):
     if workers <= 1 or len(chunks) == 1:
         results = [_worker_chunk(c) for c in chunks]
     else:
-        with get_context("fork").Pool(processes=workers) as pool:
+        if task["competitors"] or task.get("alt") is not None:
+            # the competitor battery and the samplers call scipy: import it once
+            # here, so that the forked workers share it instead of each importing it
+            import scipy.integrate, scipy.optimize, scipy.special  # noqa: F401, E401
+        with get_context("fork").Pool(processes=min(workers, len(chunks))) as pool:
             results = pool.map(_worker_chunk, chunks)
     names = results[0][1]
     out = np.empty((replications, len(names)))
@@ -163,6 +167,11 @@ class RunConfig:
     limit_replications: int = None
 
     def __post_init__(self):
+        if self.d < 2:
+            raise InputError(f"dimension must be >= 2, got {self.d}")
+        for attr in ("cover_m", "limit_m"):
+            if getattr(self, attr) is not None and getattr(self, attr) < 1:
+                raise InputError(f"{attr} must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise InputError("alpha must lie in (0, 1)")
         for attr in ("null_replications", "power_replications", "workers"):
@@ -511,8 +520,11 @@ def write_rows(rows, fmt="csv", path=None):
         raise InputError(f"unknown output format {fmt!r}")
     if path is None:
         return text
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
     return None
 
 

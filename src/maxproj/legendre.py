@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from ._errors import InputError, NumericalError
 
@@ -174,6 +173,8 @@ def weighted_inner(f, g, d, tol=1e-12):
     evaluated through the substitution t = cos(phi).  Raises NumericalError
     if the quadrature cannot reach ``tol``.
     """
+    from scipy import integrate
+
     if d < 2:
         raise InputError(f"dimension must be >= 2, got {d}")
     if d == 2:

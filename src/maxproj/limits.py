@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sps
 
 from ._errors import InputError, NumericalError
 from .geometry import surface_area, uniform_points
@@ -90,6 +89,8 @@ class HarmonicBasis:
 
 def _real_sph_harm_block(l, pts):
     """Real spherical harmonics of order l on S^2, orthonormal w.r.t. sigma."""
+    from scipy import special as sps
+
     ct = np.clip(pts[:, 2], -1.0, 1.0)
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     cols = []

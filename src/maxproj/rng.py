@@ -13,6 +13,7 @@ free integers such as a replication index.
 """
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it here, before any worker forks
 
 from ._errors import InputError
 

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special as sps
 
 from ._errors import InputError, NumericalError
 from .geometry import as_unit_vector, surface_area, uniform_points
@@ -221,6 +220,7 @@ def _sample_symmetric(spec, n, rng):
 
 def _bingham_tuning(shifted_eigs, d):
     """Proposal constant b in (0, d] solving sum 1/(b + 2 a_i) = 1."""
+    from scipy import optimize
 
     def f(b):
         return float(np.sum(1.0 / (b + 2.0 * shifted_eigs)) - 1.0)
@@ -319,6 +319,8 @@ def _bingham_log_const(spec, mc_draws=200_000):
 
     Returns (log_const, stderr_of_const_relative).
     """
+    from scipy import integrate, special as sps
+
     d = spec.d
     eigs = np.linalg.eigvalsh(spec.A)
     if d == 2:

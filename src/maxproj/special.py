@@ -14,14 +14,14 @@ Kullback-Leibler evaluations free of cancellation.  The documented range is
 kappa in [0, 50].
 """
 
-from scipy import special as sps
-
 from ._errors import InputError
 from .geometry import surface_area
 
 
 def vmf_mean_resultant(d, kappa):
     """A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa); 0 at kappa = 0."""
+    from scipy import special as sps
+
     if kappa < 0:
         raise InputError("concentration must be >= 0")
     if kappa == 0.0:
@@ -31,6 +31,8 @@ def vmf_mean_resultant(d, kappa):
 
 def vmf_norm_ratio(d, kappa):
     """a_d(kappa) / |S^{d-1}|, the hypergeometric function 0F1(d/2; kappa^2/4)."""
+    from scipy import special as sps
+
     if kappa < 0:
         raise InputError("concentration must be >= 0")
     return float(sps.hyp0f1(d / 2.0, 0.25 * kappa * kappa))
@@ -43,6 +45,8 @@ def vmf_norm_const(d, kappa):
 
 def watson_norm_ratio(d, kappa):
     """d_d(kappa) / |S^{d-1}| = M(1/2, d/2, kappa)."""
+    from scipy import special as sps
+
     if kappa < 0:
         raise InputError("concentration must be >= 0")
     return float(sps.hyp1f1(0.5, d / 2.0, kappa))
@@ -55,6 +59,8 @@ def watson_norm_const(d, kappa):
 
 def watson_mean_square(d, kappa):
     """D_d(kappa) = M(3/2, d/2+1, kappa) / (d M(1/2, d/2, kappa))."""
+    from scipy import special as sps
+
     if kappa < 0:
         raise InputError("concentration must be >= 0")
     return float(sps.hyp1f1(1.5, d / 2.0 + 1.0, kappa) / (d * sps.hyp1f1(0.5, d / 2.0, kappa)))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special as sps
 
 from ._errors import InputError, NumericalError
 from .geometry import as_points, uniform_points
@@ -312,6 +311,8 @@ def sphere_sobolev(sample, include_gine=None):
 
 def projection_cdf(d, y):
     """CDF of a fixed projection b.U of a uniform direction, F_{d-1}(y)."""
+    from scipy import special as sps
+
     if d < 2:
         raise InputError(f"dimension must be >= 2, got {d}")
     y = np.asarray(y, dtype=float)
@@ -322,6 +323,8 @@ def projection_cdf(d, y):
 
 
 def _projection_pdf(d, y):
+    from scipy import special as sps
+
     y = np.asarray(y, dtype=float)
     return (1.0 - y * y) ** ((d - 3) / 2.0) / sps.beta(0.5, (d - 1) / 2.0)
 
@@ -346,6 +349,8 @@ def ca_statistic(x, q, rng):
     decreasing, so the smallest p-value is the one of the largest KS distance:
     all q columns are sorted and scored at once.
     """
+    from scipy import special as sps
+
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     h = uniform_points(d, q, rng)
@@ -381,6 +386,8 @@ def _cvm_kernel_table(d, grid_size=1024):
 
 
 def _cvm_kernel_quad(d, theta):
+    from scipy import integrate
+
     if theta <= 0.0:
         return 0.5
     if theta >= math.pi:

@@ -6,9 +6,15 @@ pinned seeds: they are regression tests of a deterministic pipeline, not
 statistical experiments.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import maxproj
 from maxproj.harness import RunConfig, simulate_null
 
 WORKERS = 2
@@ -39,6 +45,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         ok, detail = _ACCEPTANCE[criterion]
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"{status} criterion {criterion}: {detail}")
+
+
+def run_python(*args):
+    """Run the interpreter with ``args`` on this source tree in a fresh process."""
+    src = str(Path(maxproj.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)
 
 
 def _null_config(d, n, reps=20_000):

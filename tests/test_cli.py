@@ -1,16 +1,13 @@
 import contextlib
 import csv
 import io
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import maxproj
+import maxproj.limits as limits
+from conftest import run_python
 from maxproj.cli import main
 
 
@@ -123,13 +120,7 @@ def test_exit_codes(tmp_path, capsys):
 
 def run_module(args):
     """Run ``python -m maxproj.cli`` on this source tree in a fresh process."""
-    src = str(Path(maxproj.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run(
-        [sys.executable, "-m", "maxproj.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return run_python("-m", "maxproj.cli", *args)
 
 
 @pytest.mark.parametrize("beta", ["0", "-1"])
@@ -152,6 +143,27 @@ def test_negative_seed_or_size_is_a_usage_error(args, message):
     assert message in proc.stderr
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path):
+    proc = run_module(["bahadur", "--d", "2", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("maxproj: error: cannot write")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+def test_linear_algebra_failure_is_a_numerical_error(monkeypatch, capsys, error):
+    def eigh(matrix):
+        raise error("did not converge")
+
+    monkeypatch.setattr(limits.np.linalg, "eigh", eigh)
+    code, out, err = run_cli(["limit", "--d", "3", "--beta", "3", "--cover-m", "50",
+                              "--reps", "10"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "maxproj: numerical error: did not converge\n"
+
+
 def test_non_finite_rows_are_skipped(tmp_path, capsys):
     path = tmp_path / "data.csv"
     path.write_text("x1,x2,x3\n1,0,0\n0,1,0\nnan,0.5,0.5\n0,0,1\ninf,0,1\n0.6,0.8,0\n0,0.6,0.8\n")
@@ -164,9 +176,18 @@ def test_non_finite_rows_are_skipped(tmp_path, capsys):
     assert all(row["rows_skipped"] == "2" for row in csv.DictReader(io.StringIO(out)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    """A 12-row lat/lon catalogue for the fuzzed ``test`` command."""
+    path = tmp_path_factory.mktemp("fuzz") / "craters.csv"
+    rows = [f"{lat},{lon}" for lat, lon in zip(range(-80, 81, 15), range(-170, 171, 31))]
+    path.write_text("lat,lon\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from(["critvals", "limit"]),
+    command=st.sampled_from(["critvals", "limit", "power", "test"]),
     d=st.integers(-1, 5),
     n=st.lists(st.integers(-2, 40).map(str) | st.sampled_from(["inf", "inf*"]),
                min_size=1, max_size=2),
@@ -175,12 +196,21 @@ def test_non_finite_rows_are_skipped(tmp_path, capsys):
     alpha=st.sampled_from([-0.5, 0.0, 0.05, 0.5, 1.0]),
     seed=st.integers(-2, 3),
     reps=st.integers(-1, 5),
+    power_reps=st.integers(-1, 5),
+    alts=st.lists(st.sampled_from(["uniform", "vmf:kappa=1", "mixvmf2:p=0.5", "bing1:kappa=1",
+                                   "lp:m=3,kappa=1", "vmf:kappa=-1", "lp:m=3,kappa=2",
+                                   "nosuch:kappa=1"]),
+                  min_size=1, max_size=2),
 )
-def test_cli_fuzz_exits_with_a_documented_code(command, d, n, cover_m, betas, alpha, seed,
-                                               reps):
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_data, command, d, n, cover_m, betas, alpha,
+                                               seed, reps, power_reps, alts):
     argv = [command, "--d", str(d), "--n", *n, "--cover-m", str(cover_m),
             "--beta", *map(str, betas), "--alpha", str(alpha), "--seed", str(seed),
             "--reps", str(reps)]
+    if command == "power":
+        argv += ["--power-reps", str(power_reps), *(f"--alt={a}" for a in alts)]
+    elif command == "test":
+        argv += ["--data", fuzz_data]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)

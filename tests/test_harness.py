@@ -1,10 +1,12 @@
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import maxproj
+import maxproj.harness as harness
 from conftest import SEED_SIZE, WORKERS
 from maxproj import DataError, InputError
 from maxproj.geometry import uniform_points
@@ -51,6 +53,47 @@ def test_negative_seed_is_an_input_error():
         stream(-1)
     with pytest.raises(InputError):
         small_config(seed=-1)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(d=1), "dimension must be >= 2"),
+    (dict(d=-3), "dimension must be >= 2"),
+    (dict(cover_m=0), "cover_m must be >= 1"),
+    (dict(limit_m=-1), "limit_m must be >= 1"),
+])
+def test_dimension_and_cover_size_are_checked_up_front(bad, message):
+    with pytest.raises(InputError, match=message):
+        small_config(**bad)
+
+
+@pytest.mark.parametrize("workers, replications, processes", [
+    (16, 128, 2),  # two chunks of 64
+    (2, 1000, 2),
+    (3, 200, 3),  # four chunks: 64, 64, 64, 8
+])
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, replications,
+                                                  processes):
+    started = []
+
+    class Pool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(harness, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    task = {"d": 2, "n": 5, "betas": (1,), "m": 10, "seed": 1, "ns": (0, 5),
+            "competitors": False}
+    values = harness.run_replications(task, replications, workers)
+    assert started == [processes]
+    assert np.array_equal(values["T1"], harness.run_replications(task, replications)["T1"])
 
 
 def test_battery_names_by_dimension():
@@ -121,6 +164,13 @@ def test_csv_output_is_stable_and_quoted():
     assert text == again
     js = write_rows(rows, fmt="json")
     assert js.startswith("[")
+
+
+def test_unwritable_output_path_is_an_input_error(tmp_path):
+    with pytest.raises(InputError, match="cannot write"):
+        write_rows([{"a": 1}], path=tmp_path / "missing" / "out.csv")
+    with pytest.raises(InputError, match="cannot write"):
+        write_rows([{"a": 1}], path=tmp_path)
 
 
 # --- ingestion -----------------------------------------------------------------

@@ -1,0 +1,96 @@
+"""What the package and its commands import, and when.
+
+``critvals``, ``test`` and the kernel ``limit`` route run on numpy alone, so
+they must start without scipy.  Commands that do call scipy load it in the
+parent process before a worker pool forks, and the forked workers import
+nothing at all: a module imported after the fork is imported once per worker.
+Every command here runs at least 128 replications, two chunks of 64, so that
+``--workers 2`` really forks.
+"""
+
+import textwrap
+
+import numpy as np
+import pytest
+
+from conftest import run_python
+
+POWER = ["power", "--d", "3", "--reps", "128", "--power-reps", "128",
+         "--alt=vmf:kappa=1", "--alt=bing1:kappa=1", "--workers", "2"]
+
+
+def python(*args):
+    proc = run_python(*args)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def imported_modules(argv):
+    """Module names that ``-X importtime`` reports for one CLI run, in order."""
+    proc = python("-X", "importtime", "-m", "maxproj.cli", *argv)
+    return [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line]
+
+
+@pytest.fixture(scope="module")
+def catalogue(tmp_path_factory):
+    rng = np.random.default_rng(4)
+    path = tmp_path_factory.mktemp("imports") / "craters.csv"
+    lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 40)))
+    lon = rng.uniform(-180.0, 180.0, 40)
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(lat.tolist(), lon.tolist()))
+    path.write_text("lat,lon\n" + rows)
+    return str(path)
+
+
+def test_importing_the_package_loads_no_scipy():
+    proc = python("-c", "import sys, maxproj, maxproj.cli; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["critvals", "--d", "3", "--reps", "128", "--workers", "2"],
+    ["test", "--data", "{catalogue}", "--reps", "128", "--cover-m", "500", "--workers", "2"],
+    ["limit", "--d", "3", "--beta", "3", "4", "--method", "kernel", "--cover-m", "200",
+     "--reps", "500"],
+], ids=["critvals", "test", "limit-kernel"])
+def test_numpy_only_commands_import_no_scipy(argv, catalogue):
+    argv = [a.format(catalogue=catalogue) for a in argv]
+    scipy = [m for m in imported_modules(argv) if m.split(".")[0] == "scipy"]
+    assert scipy == []
+
+
+def test_power_loads_scipy_once_before_workers_fork():
+    modules = imported_modules(POWER)
+    assert modules.count("scipy.special") == 1
+    assert modules.count("scipy.optimize") == 1
+
+
+_FORK_PROBE = textwrap.dedent("""
+    import os, sys
+    import maxproj.harness as harness
+    from maxproj.cli import main
+
+    at_fork = set()
+    os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))
+    chunk = harness._worker_chunk
+
+    def probe(args):
+        assert at_fork, "the chunk ran in the parent process"
+        out = chunk(args)
+        new = sorted(set(sys.modules) - at_fork)
+        assert not new, f"a worker imported {new}"
+        return out
+
+    harness._worker_chunk = probe
+    raise SystemExit(main(sys.argv[1:]))
+""")
+
+
+@pytest.mark.parametrize("argv", [
+    ["critvals", "--d", "3", "--reps", "128", "--workers", "2"],
+    POWER,
+], ids=["critvals", "power"])
+def test_forked_workers_import_nothing(argv):
+    python("-c", _FORK_PROBE, *argv)
