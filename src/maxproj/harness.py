@@ -17,6 +17,7 @@ import io
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -29,6 +30,7 @@ from .limits import limit_quantile, quantile_stderr
 from .rng import NS_NULL, NS_POWER, NS_TEST, stream
 from .samplers import parse_alternative, sample
 from .statistics import (
+    _pairwise_angles,
     ca_statistic,
     circle_classical,
     cvm_statistic,
@@ -80,9 +82,10 @@ def evaluate_battery(x, betas, cover_points=None, rng_ca=None, competitors=True)
         vals.update(circle_classical(x))
         vals["ca25"] = ca_statistic(x, 25, rng_ca)
     else:
-        vals.update(sphere_sobolev(x))
+        theta = _pairwise_angles(x)
+        vals.update(sphere_sobolev(x, theta=theta))
         vals["ca100"] = ca_statistic(x, 100, rng_ca)
-        vals["cvm"] = cvm_statistic(x)
+        vals["cvm"] = cvm_statistic(x, theta=theta)
     return vals
 
 
@@ -121,7 +124,13 @@ def _worker_chunk(args):
 
 
 def run_replications(task, replications, workers=1):
-    """Replication loop; returns name -> array of length ``replications``."""
+    """Replication loop; returns name -> array of length ``replications``.
+
+    At most one worker process runs per usable CPU and per chunk; the values
+    do not depend on the number of workers.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
     chunks = []
     step = max(64, math.ceil(replications / max(1, 4 * workers)))
     for start in range(0, replications, step):

@@ -136,7 +136,7 @@ def _batched_max_square(transfer, replications, rng, chunk=4096):
         take = min(chunk, replications - done)
         coeff = rng.standard_normal((r, take))
         z = transfer @ coeff
-        out[done : done + take] = np.max(z * z, axis=0)
+        out[done : done + take] = np.max(np.multiply(z, z, out=z), axis=0)
         done += take
     return out
 
@@ -157,6 +157,7 @@ def simulate_kernel_max(beta, d, m=None, replications=None, seed=0):
     clipped = np.clip(eigvals, 0.0, None)
     keep = clipped > clipped[-1] * 1e-12
     transfer = eigvecs[:, keep] * np.sqrt(clipped[keep])
+    del sigma, eigvecs  # the two m x m matrices are not needed by the draws
     rng = stream(seed, NS_LIMIT, 1)
     return _batched_max_square(transfer, replications, rng)
 

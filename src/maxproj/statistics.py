@@ -71,28 +71,38 @@ def max_projection_values(x, betas, cover_points, block=512):
     cover directions b.  This is the hot path of the Monte Carlo loops, and it
     has two routes that agree to rounding:
 
-    - the *direct* route projects the sample onto each block of the cover and
-      raises the (block, n) projections to every power: cost ~ m n beta_max;
+    - the *direct* route projects the sample onto each block of ``block``
+      cover directions and raises the (block, n) projections to every power:
+      cost ~ m n beta_max;
     - the *moment* route uses (b.x)^beta = sum_{|a|=beta} beta!/a! b^a x^a, so
       each profile is one dot product of the sample's mean monomials M_beta
       (computed once, cost ~ n R) with the cover's monomials (cost ~ m R),
       where R = sum_{1 <= k <= beta_max} C(k+d-1, d-1) counts the monomials.
+      Both sides build their monomials into one (R, B) buffer allocated once
+      per call.  The sample side always takes blocks of 512 points, because
+      M_beta is summed block by block and another size would change its last
+      bits.  The cover side takes blocks of as many multiples of 512
+      directions as the buffer's fixed element budget holds (at least one),
+      and its last ((m - 1) mod 512) + 1 directions as a block of their own.
+      That block size changes no value: the running maximum is exact, and
+      each direction's dot product is summed as it was in blocks of 512.
 
     The route is chosen by a fixed cost rule in (d, n, m, beta_max) only
     (:func:`_moment_route_cheaper`), so a run's output bytes do not depend on
-    how its replications are split over workers.  Both routes walk the cover
-    in blocks of ``block`` directions so their working arrays stay in cache.
+    how its replications are split over workers.
     """
     x = np.asarray(x, dtype=float)
     cov = np.asarray(cover_points, dtype=float)
     if cov.shape[1] != x.shape[1]:
         raise InputError(f"cover dimension {cov.shape[1]} != sample dimension {x.shape[1]}")
+    if cov.shape[0] == 0:
+        raise InputError("the cover holds no direction")
     betas = sorted(set(int(b) for b in betas))
     if not betas or betas[0] < 1:
         raise InputError("powers must be >= 1")
     n, d = x.shape
     if _moment_route_cheaper(d, n, cov.shape[0], betas[-1]):
-        return _moment_values(x, betas, cov, block)
+        return _moment_values(x, betas, cov)
     return _direct_values(x, betas, cov, block)
 
 
@@ -129,8 +139,8 @@ def _moment_route_cheaper(d, n, m, beta_max):
     cover points and takes one R-long dot product per cover point and power:
     about (n + 2 m) R array operations.  The direct route does about
     m n (d + 2 beta_max) in its matmul and power loop, and each of those costs
-    about half a moment-route operation, whose row gathers also slow down as
-    the (R, block) arrays outgrow the cache: hence the factor 2 (1 + R/1000).
+    about half a moment-route operation, and the moment route also slows down
+    as its (R, block) arrays outgrow the cache: hence the factor 2 (1 + R/1000).
     Fitted on d = 2..8, n = 10..1000, m = 1000..20000 and beta_max = 3..8 on
     one x86-64 core; d = 5, n = 100, m = 20000, beta_max = 6 (R = 461) stays
     on the direct route.
@@ -141,62 +151,88 @@ def _moment_route_cheaper(d, n, m, beta_max):
     return 2 * (n + 2 * m) * r * (1 + r / 1000) < m * n * (d + 2 * beta_max)
 
 
+#: sample points per block of the moment route: the sample's mean monomials
+#: are sums of per-block sums, so this size is part of the output bytes
+_SAMPLE_BLOCK = 512
+
+#: elements of the moment route's monomial buffer, which sets its cover block
+_MOMENT_BUFFER = 2**17
+
+
 @lru_cache(maxsize=None)
 def _monomial_plan(d, beta_max):
     """Exact plan for the monomials of degree 1..beta_max in d variables.
 
-    Degree-k monomials are listed grouped by their last variable j; the ones
-    ending in j are x_j times the degree-(k-1) monomials whose last variable
-    is at most j, which form a prefix of the degree-(k-1) list.  Returns
-    ``(steps, coefficients)``: one ``(parent, variable)`` index pair per degree
-    k >= 2, so that monomial r of degree k is monomial ``parent[r]`` of degree
-    k-1 times coordinate ``variable[r]`` (degree 1 is the coordinates
-    themselves), and ``coefficients[k-1][r] = k! / a!`` for that monomial x^a,
-    computed in integers.
+    The monomials are stacked degree by degree as the rows of one (R, B)
+    array: rows ``offsets[k-1]:offsets[k]`` hold degree k, and degree 1 is
+    the coordinates themselves.  Degree-k monomials are listed grouped by
+    their last variable j; the ones ending in j are x_j times the
+    degree-(k-1) monomials whose last variable is at most j, which form a
+    prefix of the degree-(k-1) rows.  So each ``(src_start, src_stop,
+    dst_start, dst_stop, j)`` in ``steps`` fills the destination rows with
+    the source rows times row j, all contiguous slices.  Returns
+    ``(steps, offsets, coefficients)`` with ``coefficients[k-1][r] = k! / a!``
+    for the r-th degree-k monomial x^a, computed in integers.
     """
-    exponents = [np.eye(d, dtype=np.int64)]
+    unit = np.eye(d, dtype=np.int64)
+    exponents = [unit]
+    offsets = [0, d]
     steps = []
     for k in range(2, beta_max + 1):
-        prefix = [math.comb(k - 1 + j, j) for j in range(d)]
-        parent = np.concatenate([np.arange(p) for p in prefix])
-        variable = np.repeat(np.arange(d), prefix)
-        exps = exponents[-1][parent] + np.eye(d, dtype=np.int64)[variable]
-        exponents.append(exps)
-        steps.append((parent, variable))
+        src, dst = offsets[-2], offsets[-1]
+        rows = []
+        for j in range(d):
+            size = math.comb(k - 1 + j, j)
+            steps.append((src, src + size, dst, dst + size, j))
+            rows.append(exponents[-1][:size] + unit[j])
+            dst += size
+        exponents.append(np.concatenate(rows))
+        offsets.append(dst)
     coefficients = tuple(
         np.array([math.factorial(k) // math.prod(math.factorial(int(a)) for a in row)
                   for row in exps], dtype=float)
         for k, exps in enumerate(exponents, start=1)
     )
-    return tuple(steps), coefficients
+    return tuple(steps), tuple(offsets), coefficients
 
 
-def _monomials(points_t, steps):
-    """Monomials of points given as columns of a (d, B) array, one array per degree."""
-    out = [points_t]
-    for parent, variable in steps:
-        out.append(out[-1][parent] * points_t[variable])
-    return out
+def _fill_monomials(buf, points, steps, r):
+    """The r monomials of the rows of ``points``, as an (r, len(points)) view of ``buf``."""
+    feats = buf[: r * points.shape[0]].reshape(r, points.shape[0])
+    feats[: points.shape[1]] = points.T
+    for s0, s1, t0, t1, j in steps:
+        np.multiply(feats[s0:s1], feats[j], out=feats[t0:t1])
+    return feats
 
 
-def _moment_values(x, betas, cov, block):
+def _moment_values(x, betas, cov):
     """Moment route of :func:`max_projection_values`; ``betas`` sorted, unique."""
     n, d = x.shape
-    steps, coefficients = _monomial_plan(d, betas[-1])
+    m = cov.shape[0]
+    steps, offsets, coefficients = _monomial_plan(d, betas[-1])
+    r = offsets[-1]
+    block = _SAMPLE_BLOCK * max(1, _MOMENT_BUFFER // (_SAMPLE_BLOCK * r))
+    buf = np.empty(r * max(min(n, _SAMPLE_BLOCK), min(m, block)))
     sums = dict.fromkeys(betas, 0.0)
-    for start in range(0, n, block):
-        feats = _monomials(np.ascontiguousarray(x[start : start + block].T), steps)
+    for start in range(0, n, _SAMPLE_BLOCK):
+        feats = _fill_monomials(buf, x[start : start + _SAMPLE_BLOCK], steps, r)
         for b in betas:
-            sums[b] = sums[b] + feats[b - 1].sum(axis=1)
+            sums[b] = sums[b] + feats[offsets[b - 1] : offsets[b]].sum(axis=1)
     weights = {b: coefficients[b - 1] * (sums[b] / n) for b in betas}
     psis = {b: psi(d, b) for b in betas}
     best = dict.fromkeys(betas, 0.0)
-    for start in range(0, cov.shape[0], block):
-        feats = _monomials(np.ascontiguousarray(cov[start : start + block].T), steps)
+    # the final partial _SAMPLE_BLOCK of the cover stays a block of its own:
+    # gemv sums the last (width mod 4) columns of a block, and every column of
+    # a block narrower than 4, in another order than the rest
+    last = m - 1 - (m - 1) % _SAMPLE_BLOCK
+    bounds = [*range(0, last, block), last, m]
+    for start, stop in zip(bounds, bounds[1:]):
+        feats = _fill_monomials(buf, cov[start:stop], steps, r)
         for b in betas:
-            dev = weights[b] @ feats[b - 1]
+            dev = weights[b] @ feats[offsets[b - 1] : offsets[b]]
             dev -= psis[b]
-            peak = float(np.max(dev * dev))
+            np.multiply(dev, dev, out=dev)
+            peak = float(dev.max())
             if peak > best[b]:
                 best[b] = peak
     return {b: n * v for b, v in best.items()}
@@ -283,15 +319,20 @@ def _rayleigh_mod(x):
     return (1.0 - 1.0 / (2.0 * n)) * r + r * r / (2.0 * n * (d + 2.0))
 
 
-def sphere_sobolev(sample, include_gine=None):
-    """Ajne, modified Rayleigh, Bingham and (d >= 3) Gine statistics."""
+def sphere_sobolev(sample, include_gine=None, theta=None):
+    """Ajne, modified Rayleigh, Bingham and (d >= 3) Gine statistics.
+
+    ``theta`` may pass the sample's pairwise angles, ``_pairwise_angles(x)``,
+    when the caller has them already.
+    """
     x = _points(sample)
     n, d = x.shape
     if include_gine is None:
         include_gine = d >= 3
     s = (x.T @ x) / n
     bingham = n * d * (d + 2.0) / 2.0 * (float(np.trace(s @ s)) - 1.0 / d)
-    theta = _pairwise_angles(x)
+    if theta is None:
+        theta = _pairwise_angles(x)
     out = {
         "ajne": _ajne(n, theta),
         "rayleigh_mod": _rayleigh_mod(x),
@@ -441,10 +482,12 @@ def cvm_kernel(d, theta):
     return out if out.ndim else float(out)
 
 
-def cvm_statistic(x):
+def cvm_statistic(x, theta=None):
+    """Projected Cramer-von Mises statistic; ``theta`` as in :func:`sphere_sobolev`."""
     x = np.asarray(x, dtype=float)
     n, d = x.shape
-    theta = _pairwise_angles(x)
+    if theta is None:
+        theta = _pairwise_angles(x)
     return float(2.0 / n * np.sum(cvm_kernel(d, theta)) + (3.0 * n - 2.0) / 6.0)
 
 

@@ -178,16 +178,18 @@ def test_non_finite_rows_are_skipped(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def fuzz_data(tmp_path_factory):
-    """A 12-row lat/lon catalogue for the fuzzed ``test`` command."""
-    path = tmp_path_factory.mktemp("fuzz") / "craters.csv"
+    """A 12-row lat/lon catalogue and a malformed file for the fuzzed data commands."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    good, malformed = folder / "craters.csv", folder / "malformed.csv"
     rows = [f"{lat},{lon}" for lat, lon in zip(range(-80, 81, 15), range(-170, 171, 31))]
-    path.write_text("lat,lon\n" + "\n".join(rows) + "\n")
-    return str(path)
+    good.write_text("lat,lon\n" + "\n".join(rows) + "\n")
+    malformed.write_text("lat,lon\n10,20\nabc,12\n1,2,3\n")
+    return {"good": str(good), "malformed": str(malformed)}
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=160, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from(["critvals", "limit", "power", "test"]),
+    command=st.sampled_from(["critvals", "limit", "power", "test", "bahadur", "ingest-check"]),
     d=st.integers(-1, 5),
     n=st.lists(st.integers(-2, 40).map(str) | st.sampled_from(["inf", "inf*"]),
                min_size=1, max_size=2),
@@ -201,16 +203,27 @@ def fuzz_data(tmp_path_factory):
                                    "lp:m=3,kappa=1", "vmf:kappa=-1", "lp:m=3,kappa=2",
                                    "nosuch:kappa=1"]),
                   min_size=1, max_size=2),
+    data=st.sampled_from(["good", "malformed"]),
+    min_diameter=st.sampled_from([None, "-1", "0", "150", "nan"]),
+    fmt=st.sampled_from(["csv", "json"]),
 )
 def test_cli_fuzz_exits_with_a_documented_code(fuzz_data, command, d, n, cover_m, betas, alpha,
-                                               seed, reps, power_reps, alts):
-    argv = [command, "--d", str(d), "--n", *n, "--cover-m", str(cover_m),
-            "--beta", *map(str, betas), "--alpha", str(alpha), "--seed", str(seed),
-            "--reps", str(reps)]
+                                               seed, reps, power_reps, alts, data, min_diameter,
+                                               fmt):
+    if command == "bahadur":
+        argv = [command, "--d", str(d), str(d + 2), "--format", fmt]
+    elif command == "ingest-check":
+        argv = [command, "--data", fuzz_data[data]]
+        if min_diameter is not None:
+            argv += ["--min-diameter", min_diameter]
+    else:
+        argv = [command, "--d", str(d), "--n", *n, "--cover-m", str(cover_m),
+                "--beta", *map(str, betas), "--alpha", str(alpha), "--seed", str(seed),
+                "--reps", str(reps)]
     if command == "power":
         argv += ["--power-reps", str(power_reps), *(f"--alt={a}" for a in alts)]
     elif command == "test":
-        argv += ["--data", fuzz_data]
+        argv += ["--data", fuzz_data[data]]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)

@@ -88,12 +88,23 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, replicati
         def map(self, func, items):
             return [func(item) for item in items]
 
+    def run_on(cpus, workers, replications):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return harness.run_replications(task, replications, workers)
+
     monkeypatch.setattr(harness, "get_context", lambda method: SimpleNamespace(Pool=Pool))
     task = {"d": 2, "n": 5, "betas": (1,), "m": 10, "seed": 1, "ns": (0, 5),
             "competitors": False}
-    values = harness.run_replications(task, replications, workers)
+    serial = harness.run_replications(task, replications)["T1"]
+    assert np.array_equal(run_on(64, workers, replications)["T1"], serial)
     assert started == [processes]
-    assert np.array_equal(values["T1"], harness.run_replications(task, replications)["T1"])
+    # the pool is no larger than the usable CPUs, and one CPU runs in-process
+    assert np.array_equal(run_on(2, workers, replications)["T1"], serial)
+    assert started[1:] == [2]
+    assert np.array_equal(run_on(1, workers, replications)["T1"], serial)
+    assert started[1:] == [2]
+    run_on(2, 1000, 2000)
+    assert started[2:] == [2]
 
 
 def test_battery_names_by_dimension():

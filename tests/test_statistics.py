@@ -1,12 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import special as sps
 
 from maxproj import InputError
 from maxproj.geometry import make_cover, random_rotation, uniform_points
+from maxproj.legendre import psi
 from maxproj.rng import stream
 from maxproj.samplers import VonMisesFisher, sample
 from maxproj.statistics import (
@@ -87,11 +89,13 @@ def test_cover_monotone_in_nested_covers():
 def test_dimension_mismatch_rejected():
     with pytest.raises(InputError):
         max_projection_stat(np.eye(3), 1, np.eye(2))
+    with pytest.raises(InputError, match="no direction"):
+        max_projection_values(np.eye(3), [3], np.empty((0, 3)))
 
 
 # --- the two routes of max_projection_values ------------------------------------
 
-ROUTES = (_direct_values, _moment_values)
+ROUTES = (functools.partial(_direct_values, block=512), _moment_values)
 ROUTE_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
 
@@ -110,7 +114,7 @@ def test_moment_route_matches_direct_route(d, n, betas, seed):
     x, cover = _route_case(d, n, seed)
     betas = sorted(betas)
     direct = _direct_values(x, betas, cover, 512)
-    moment = _moment_values(x, betas, cover, 512)
+    moment = _moment_values(x, betas, cover)
     for b in betas:
         assert abs(moment[b] - direct[b]) <= 1e-12 * direct[b], (b, moment[b], direct[b])
 
@@ -123,7 +127,7 @@ def test_moment_route_matches_direct_route(d, n, betas, seed):
 )
 def test_moment_route_never_exceeds_closed_forms(d, n, seed):
     x, cover = _route_case(d, n, seed, m=2000)
-    moment = _moment_values(x, [1, 2], cover, 512)
+    moment = _moment_values(x, [1, 2], cover)
     assert moment[1] <= t1_closed(x) + 1e-12
     assert moment[2] <= t2_closed(x) + 1e-12
 
@@ -135,8 +139,8 @@ def test_routes_rotation_invariant(d, n, seed):
     rot = random_rotation(d, stream(60, seed, 2))
     betas = [3, 4, 5, 6]
     for route in ROUTES:
-        base = route(x, betas, cover, 512)
-        rotated = route(x @ rot.T, betas, cover @ rot.T, 512)
+        base = route(x, betas, cover)
+        rotated = route(x @ rot.T, betas, cover @ rot.T)
         for b in betas:
             assert rotated[b] == pytest.approx(base[b], rel=1e-9, abs=1e-12)
 
@@ -152,10 +156,108 @@ def test_routes_monotone_in_nested_covers(d, n, m_small, seed):
     x, cover = _route_case(d, n, seed, m=1500)
     betas = [1, 2, 3, 4, 6]
     for route in ROUTES:
-        small = route(x, betas, cover[:m_small], 512)
-        big = route(x, betas, cover, 512)
+        small = route(x, betas, cover[:m_small])
+        big = route(x, betas, cover)
         for b in betas:
             assert big[b] >= small[b] * (1.0 - 1e-12)
+
+
+def _gather_moment_values(x, betas, cov, block=512):
+    """The moment route as first written, kept as the oracle of the slice build.
+
+    Degree k's monomials are degree k-1's rows gathered by index times the
+    coordinates gathered by index, in fresh arrays, both sides in blocks of
+    ``block`` points.
+    """
+    n, d = x.shape
+    exponents, steps = [np.eye(d, dtype=np.int64)], []
+    for k in range(2, betas[-1] + 1):
+        prefix = [math.comb(k - 1 + j, j) for j in range(d)]
+        parent = np.concatenate([np.arange(p) for p in prefix])
+        variable = np.repeat(np.arange(d), prefix)
+        exponents.append(exponents[-1][parent] + np.eye(d, dtype=np.int64)[variable])
+        steps.append((parent, variable))
+    coefficients = [
+        np.array([math.factorial(k) // math.prod(math.factorial(int(a)) for a in row)
+                  for row in exps], dtype=float)
+        for k, exps in enumerate(exponents, start=1)
+    ]
+
+    def monomials(points):
+        out = [np.ascontiguousarray(points.T)]
+        for parent, variable in steps:
+            out.append(out[-1][parent] * out[0][variable])
+        return out
+
+    sums = dict.fromkeys(betas, 0.0)
+    for start in range(0, n, block):
+        feats = monomials(x[start : start + block])
+        for b in betas:
+            sums[b] = sums[b] + feats[b - 1].sum(axis=1)
+    weights = {b: coefficients[b - 1] * (sums[b] / n) for b in betas}
+    best = dict.fromkeys(betas, 0.0)
+    for start in range(0, cov.shape[0], block):
+        feats = monomials(cov[start : start + block])
+        for b in betas:
+            dev = weights[b] @ feats[b - 1]
+            dev -= psi(d, b)
+            best[b] = max(best[b], float(np.max(dev * dev)))
+    return {b: n * v for b, v in best.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 7),
+    n=st.sampled_from((1, 2, 7, 100, 511, 512, 513, 1100, 1911)),
+    m=st.sampled_from((1, 3, 4, 515, 1027, 1539, 2051, 5000)) | st.integers(1, 5200),
+    betas=st.just([1, 2]) | st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True),
+    peak_last=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_moment_route_is_bit_equal_to_the_gather_build(d, n, m, betas, peak_last, seed):
+    betas = sorted(betas)
+    assume(math.comb(betas[-1] + d, d) - 1 <= 2000)
+    x, cover = _route_case(d, n, seed, m=m)
+    if peak_last:
+        # tilt the sample toward a pole and end the cover near it, so that the
+        # maximum sits in the cover's last columns, which gemv sums apart
+        pole = np.eye(d)[0]
+        x = x + pole
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        k = min(3, m)
+        cover[-k:] = pole + 1e-3 * cover[-k:]
+        cover /= np.linalg.norm(cover, axis=1, keepdims=True)
+    assert _moment_values(x, betas, cover) == _gather_moment_values(x, betas, cover)
+
+
+#: _moment_route_cheaper over n in ROUTE_GRID_N (space-separated groups) and
+#: m in ROUTE_GRID_M (letters): M for the moment route, . for the direct one
+ROUTE_GRID_N = (10, 30, 100, 300, 1000, 3000, 10**6)
+ROUTE_GRID_M = (300, 3000, 30000)
+ROUTE_TABLE = {
+    (2, 3): "MMM MMM MMM MMM MMM MMM MMM",
+    (2, 6): "MMM MMM MMM MMM MMM MMM MMM",
+    (2, 9): "... MMM MMM MMM MMM MMM MMM",
+    (3, 3): "MMM MMM MMM MMM MMM MMM MMM",
+    (3, 6): "... MMM MMM MMM MMM MMM MMM",
+    (3, 9): "... ... MMM MMM MMM MMM MMM",
+    (5, 3): "... MMM MMM MMM MMM MMM MMM",
+    (5, 6): "... ... ... MMM MMM MMM MMM",
+    (5, 9): "... ... ... ... ... .MM .MM",
+    (7, 3): "... ... MMM MMM MMM MMM MMM",
+    (7, 6): "... ... ... ... ..M .MM .MM",
+    (7, 9): "... ... ... ... ... ... ...",
+}
+
+
+def test_route_choice_is_pinned():
+    # the route is part of the output bytes: a changed rule changes the tables
+    for (d, beta_max), row in ROUTE_TABLE.items():
+        got = " ".join(
+            "".join("M" if _moment_route_cheaper(d, n, m, beta_max) else "." for m in ROUTE_GRID_M)
+            for n in ROUTE_GRID_N
+        )
+        assert got == row, (d, beta_max)
 
 
 def test_route_dispatch():
@@ -168,7 +270,7 @@ def test_route_dispatch():
     assert not _moment_route_cheaper(7, 10**7, 20000, 9)
     x = uniform_points(3, 1000, stream(61))
     cover = uniform_points(3, 700, stream(62))
-    assert max_projection_values(x, [3, 6], cover) == _moment_values(x, [3, 6], cover, 512)
+    assert max_projection_values(x, [3, 6], cover) == _moment_values(x, [3, 6], cover)
 
 
 # --- circle battery ----------------------------------------------------------
