@@ -40,6 +40,8 @@ from .special import vmf_mean_resultant, vmf_norm_ratio, watson_mean_square, wat
 
 _SERIES_TOL = 1e-14
 _SERIES_CAP = 10_000
+#: cosines of the dense grid over which gamma_kappa is maximized
+_GRID_SIZE = 4001
 
 ALTERNATIVES = ("vmf", "watson", "lp")
 
@@ -159,10 +161,10 @@ def gamma_profile(alt, beta, d, kappa, s, m=None):
     return total / norm - psi_b
 
 
-def gamma_shift(alt, beta, d, kappa, cover=None, m=None, grid_size=4001):
+def gamma_shift(alt, beta, d, kappa, cover=None, m=None):
     """max_b gamma_kappa(b)^2, over a cover or a dense cosine grid."""
     if cover is None:
-        s = np.linspace(-1.0, 1.0, grid_size)
+        s = np.linspace(-1.0, 1.0, _GRID_SIZE)
     else:
         pts = np.asarray(getattr(cover, "points", cover), dtype=float)
         axis = np.zeros(pts.shape[1])
@@ -228,8 +230,8 @@ def bahadur_report(alt, beta, d, kappas=(1e-1, 1e-2, 1e-3), m=None):
     )
 
 
-def are_table(dims=(2, 3, 5, 10), betas=range(1, 7)):
-    """All non-trivial local ARE rows: vMF, Watson and profile orders 1..6.
+def are_table(dims=(2, 3, 5, 10)):
+    """All non-trivial local ARE rows: vMF, Watson and profile orders 1..6, powers 1..6.
 
     Returns a list of dicts with keys alternative, beta, and one column per
     dimension.
@@ -240,7 +242,7 @@ def are_table(dims=(2, 3, 5, 10), betas=range(1, 7)):
     ]
     for label, alt, m in specs:
         k = 1 if alt == "vmf" else 2 if alt == "watson" else m
-        for beta in betas:
+        for beta in range(1, 7):
             if k > beta or (beta + k) % 2 == 1:
                 continue
             row = {"alternative": label, "beta": beta}

@@ -40,7 +40,7 @@ def _parse_n(token):
         raise argparse.ArgumentTypeError(f"sample size {token!r} is not an int or inf/inf*")
 
 
-def _common(sub, *, data=False, alt=False, power=False, limit=False):
+def _common(sub, *, data=False, power=False, limit=False):
     sub.add_argument("--d", type=int, default=2, help="ambient dimension (sphere is S^{d-1})")
     sub.add_argument("--n", type=_parse_n, nargs="+", default=[100],
                      help="sample sizes; critvals also accepts inf and inf*")
@@ -48,8 +48,12 @@ def _common(sub, *, data=False, alt=False, power=False, limit=False):
                      help="projection powers")
     sub.add_argument("--alpha", type=float, default=0.05)
     sub.add_argument("--cover-m", type=int, default=None,
-                     help="cover size for the maximal projection (default 5000/20000)")
-    sub.add_argument("--reps", type=int, default=20000, help="null replications")
+                     help="cover size for the maximal projection (default 5000 for d <= 3, "
+                          "20000 above); for limit and the inf/inf* rows, the limit-field "
+                          "cover (default 1000 for d <= 3, 5000 above)")
+    sub.add_argument("--reps", type=int, default=20000,
+                     help="null replications; for limit and the inf/inf* rows, the "
+                          "limit-field replications")
     sub.add_argument("--seed", type=int, default=20230419)
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -108,8 +112,6 @@ def _config_from(args):
         min_diameter=getattr(args, "min_diameter", None),
         data=getattr(args, "data", None),
         limit_method=getattr(args, "method", "kernel"),
-        limit_m=args.cover_m,
-        limit_replications=args.reps,
     )
 
 

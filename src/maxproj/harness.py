@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -157,7 +157,12 @@ def run_replications(task, replications, workers=1):
 
 @dataclass
 class RunConfig:
-    """Knobs of a harness run; defaults mirror the study protocol."""
+    """Knobs of a harness run; defaults mirror the study protocol.
+
+    ``cover_m`` and ``null_replications`` also size the limit-field
+    simulation of :func:`cmd_limit` and of the ``inf``/``inf*`` rows, where
+    ``cover_m=None`` stands for ``limits.default_cover_size(d)``.
+    """
 
     d: int = 2
     n: tuple = (100,)
@@ -172,15 +177,12 @@ class RunConfig:
     min_diameter: float = None
     data: str = None
     limit_method: str = "kernel"
-    limit_m: int = None
-    limit_replications: int = None
 
     def __post_init__(self):
         if self.d < 2:
             raise InputError(f"dimension must be >= 2, got {self.d}")
-        for attr in ("cover_m", "limit_m"):
-            if getattr(self, attr) is not None and getattr(self, attr) < 1:
-                raise InputError(f"{attr} must be >= 1")
+        if self.cover_m is not None and self.cover_m < 1:
+            raise InputError("cover_m must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise InputError("alpha must lie in (0, 1)")
         for attr in ("null_replications", "power_replications", "workers"):
@@ -203,11 +205,11 @@ class RunConfig:
         return self.cover_m if self.cover_m is not None else default_cover_m(self.d)
 
 
-def simulate_null(config, n, competitors=False, betas=None):
+def simulate_null(config, n, competitors=False):
     task = {
         "d": config.d,
         "n": int(n),
-        "betas": tuple(betas if betas is not None else config.betas),
+        "betas": tuple(config.betas),
         "m": config.m,
         "seed": config.seed,
         "ns": (NS_NULL, int(n)),
@@ -230,7 +232,7 @@ def critical_value(null_values, alpha, name):
     return float(np.quantile(null_values, q))
 
 
-def cmd_critvals(config, competitors=False):
+def cmd_critvals(config):
     """Null critical values for each requested (n, statistic) cell.
 
     ``n`` entries may be integers or the tokens ``inf`` (covariance route) and
@@ -254,7 +256,7 @@ def cmd_critvals(config, competitors=False):
                     }
                 )
             continue
-        nulls = simulate_null(config, n, competitors=competitors)
+        nulls = simulate_null(config, n)
         for name, values in nulls.items():
             cv = critical_value(values, config.alpha, name)
             rows.append(
@@ -341,20 +343,10 @@ def cmd_test(config):
     samp, report = ingest(config.data, min_diameter=config.min_diameter)
     x = samp.points
     n, d = x.shape
-    cover_seed = config.seed
-    cover = uniform_points(d, default_cover_m(d) if config.cover_m is None else config.cover_m,
-                           stream(cover_seed, NS_TEST, 0))
+    null_config = replace(config, d=d, n=(n,))
+    cover = uniform_points(d, null_config.m, stream(config.seed, NS_TEST, 0))
     observed = evaluate_battery(x, config.betas, cover_points=cover, competitors=False)
-    null_config = RunConfig(
-        d=d,
-        n=(n,),
-        betas=tuple(config.betas),
-        cover_m=config.cover_m,
-        null_replications=config.null_replications,
-        seed=config.seed,
-        workers=config.workers,
-    )
-    nulls = simulate_null(null_config, n, competitors=False)
+    nulls = simulate_null(null_config, n)
     rows = []
     for name in sorted(observed):
         rows.append(
@@ -366,7 +358,7 @@ def cmd_test(config):
                 "pvalue": mc_pvalue(nulls[name], observed[name]),
                 "null_replications": config.null_replications,
                 "cover_m": cover.shape[0],
-                "cover_seed": cover_seed,
+                "cover_seed": config.seed,
                 "rows_read": report.rows_read,
                 "rows_kept": report.rows_kept,
                 "rows_repaired": report.rows_repaired,
@@ -382,8 +374,8 @@ def _limit_quantile(config, beta, method):
         config.d,
         alpha=1.0 - config.alpha,
         method=method,
-        m=config.limit_m,
-        replications=config.limit_replications,
+        m=config.cover_m,
+        replications=config.null_replications,
         seed=config.seed,
     )
 

@@ -200,26 +200,31 @@ def shift_value(beta, d, m, theta, b):
 # surface quadrature (d = 2, 3) and the projection-integral identity oracle
 
 
-def sphere_quadrature(d, n_polar=96, n_azimuth=192):
+#: Gauss-Legendre polar nodes and equispaced azimuth nodes of sphere_quadrature
+_N_POLAR = 96
+_N_AZIMUTH = 192
+
+
+def sphere_quadrature(d):
     """Product quadrature nodes/weights for integrals over S^{d-1}, d in {2, 3}.
 
     Exact (to rounding) for polynomial integrands of the degrees used here.
     Returns (points, weights) with sum(w_i f(x_i)) ~= integral f d(sigma).
     """
     if d == 2:
-        phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
+        phi = 2.0 * math.pi * np.arange(_N_AZIMUTH) / _N_AZIMUTH
         pts = np.column_stack([np.cos(phi), np.sin(phi)])
-        w = np.full(n_azimuth, 2.0 * math.pi / n_azimuth)
+        w = np.full(_N_AZIMUTH, 2.0 * math.pi / _N_AZIMUTH)
         return pts, w
     if d == 3:
-        t, wt = np.polynomial.legendre.leggauss(n_polar)
-        phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
+        t, wt = np.polynomial.legendre.leggauss(_N_POLAR)
+        phi = 2.0 * math.pi * np.arange(_N_AZIMUTH) / _N_AZIMUTH
         r = np.sqrt(1.0 - t**2)
         x = r[:, None] * np.cos(phi)[None, :]
         y = r[:, None] * np.sin(phi)[None, :]
         z = np.broadcast_to(t[:, None], x.shape)
         pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
-        w = np.repeat(wt, n_azimuth) * (2.0 * math.pi / n_azimuth)
+        w = np.repeat(wt, _N_AZIMUTH) * (2.0 * math.pi / _N_AZIMUTH)
         return pts, w
     raise InputError("surface quadrature implemented only for d in {2, 3}")
 
@@ -244,6 +249,6 @@ def funk_hecke_check(d, k, profile, u, theta=None):
     pu = np.clip(pts @ u, -1.0, 1.0)
     pt = np.clip(pts @ theta, -1.0, 1.0)
     lhs = float(np.sum(w * profile(pu) * legendre_eval(d, k, pt)))
-    inner = weighted_inner(lambda t: legendre_eval(d, k, t), profile, d, tol=1e-12)
+    inner = weighted_inner(lambda t: legendre_eval(d, k, t), profile, d)
     rhs = surface_area(d - 1) * inner * float(legendre_eval(d, k, float(u @ theta)))
     return lhs, rhs

@@ -33,6 +33,9 @@ from ._errors import InputError, NumericalError
 #: largest exactly-tabulated order; higher orders are out of scope
 MAX_ORDER = 12
 
+#: absolute and relative target of the weighted_inner quadrature
+_INNER_TOL = 1e-12
+
 
 def harmonic_dim(d, k):
     """Dimension nu_d(k) of the space of order-k spherical harmonics on S^{d-1}."""
@@ -150,28 +153,28 @@ def psi(d, beta):
     return float(psi_exact(d, beta))
 
 
-def check_expansion_nonnegative(d_values=range(2, 26), m_max=MAX_ORDER):
-    """Scan power expansions for negative coefficients.
+def check_expansion_nonnegative():
+    """Scan power expansions, d = 2..25 and m <= MAX_ORDER, for negative coefficients.
 
     Non-negativity of the c_j is expected but unproven; this returns the
     list of violations (empty so far for every scanned combination) instead
     of assuming it.
     """
     violations = []
-    for d in d_values:
-        for m in range(m_max + 1):
+    for d in range(2, 26):
+        for m in range(MAX_ORDER + 1):
             for j, cj in enumerate(power_expansion(d, m).coeffs):
                 if cj < 0:
                     violations.append((d, m, j, cj))
     return violations
 
 
-def weighted_inner(f, g, d, tol=1e-12):
+def weighted_inner(f, g, d):
     """Weighted inner product int_{-1}^{1} f g (1-t^2)^{(d-3)/2} dt.
 
     For d = 2 the weight is singular at the endpoints, so the integral is
     evaluated through the substitution t = cos(phi).  Raises NumericalError
-    if the quadrature cannot reach ``tol``.
+    if the quadrature cannot reach ``_INNER_TOL``.
     """
     from scipy import integrate
 
@@ -182,16 +185,17 @@ def weighted_inner(f, g, d, tol=1e-12):
             t = math.cos(phi)
             return f(t) * g(t)
 
-        value, err = integrate.quad(integrand, 0.0, math.pi, epsabs=tol, epsrel=tol, limit=200)
+        lo, hi = 0.0, math.pi
     else:
         p = (d - 3) / 2.0
 
         def integrand(t):
             return f(t) * g(t) * (1.0 - t * t) ** p
 
-        value, err = integrate.quad(integrand, -1.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    if err > max(tol, 1e-10 * abs(value)) * 50:
-        raise NumericalError(f"quadrature reached only {err:.2e} (target {tol:.2e})")
+        lo, hi = -1.0, 1.0
+    value, err = integrate.quad(integrand, lo, hi, epsabs=_INNER_TOL, epsrel=_INNER_TOL, limit=200)
+    if err > max(_INNER_TOL, 1e-10 * abs(value)) * 50:
+        raise NumericalError(f"quadrature reached only {err:.2e} (target {_INNER_TOL:.2e})")
     return value
 
 

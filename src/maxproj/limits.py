@@ -11,8 +11,8 @@ with the zonal covariance of :mod:`maxproj.kernels`.  Two simulation routes:
 * ``simulate_harmonic_max`` uses the finite spherical-harmonics expansion of
   the field: independent standard normal coefficients weighted by the square
   roots of the operator eigenvalues.  Implemented for d = 2 (Fourier basis)
-  and d = 3 (real spherical harmonics up to order 6); higher dimensions fall
-  back to the kernel route.
+  and d = 3 (real spherical harmonics up to order 6); other dimensions raise
+  ``InputError``, since the kernel route covers them.
 
 Both routes share a single cover per batch: the factorization/basis matrix is
 built once and reused across replications, whose maxima are then iid.
@@ -30,6 +30,12 @@ from .legendre import harmonic_dim
 from .rng import NS_LIMIT, stream
 
 MAX_HARMONIC_BETA = 6
+
+#: field draws per matrix product of the simulation routes
+_DRAW_CHUNK = 4096
+
+#: bootstrap resamples behind a quantile's standard error
+_BOOTSTRAP = 200
 
 
 def default_cover_size(d):
@@ -124,7 +130,7 @@ def field_basis(beta, d):
 # simulation routes
 
 
-def _batched_max_square(transfer, replications, rng, chunk=4096):
+def _batched_max_square(transfer, replications, rng):
     """Max of squared field values for N(0, I) coefficient draws.
 
     ``transfer`` has shape (m, r): field values = transfer @ coefficients.
@@ -133,7 +139,7 @@ def _batched_max_square(transfer, replications, rng, chunk=4096):
     out = np.empty(replications)
     done = 0
     while done < replications:
-        take = min(chunk, replications - done)
+        take = min(_DRAW_CHUNK, replications - done)
         coeff = rng.standard_normal((r, take))
         z = transfer @ coeff
         out[done : done + take] = np.max(np.multiply(z, z, out=z), axis=0)
@@ -198,13 +204,13 @@ class LimitQuantile:
     maxima: np.ndarray = field(repr=False, default=None)
 
 
-def quantile_stderr(values, alpha, bootstrap=200, seed=0):
+def quantile_stderr(values, alpha, seed=0):
     """Bootstrap standard error of an empirical quantile."""
     values = np.asarray(values)
     rng = stream(seed, NS_LIMIT, 2)
     n = values.shape[0]
-    reps = np.empty(bootstrap)
-    for b in range(bootstrap):
+    reps = np.empty(_BOOTSTRAP)
+    for b in range(_BOOTSTRAP):
         idx = rng.integers(0, n, size=n)
         reps[b] = np.quantile(values[idx], alpha)
     return float(reps.std(ddof=1))

@@ -34,6 +34,10 @@ from .special import vmf_norm_const, watson_norm_const
 
 _MIN_ACCEPT = 1e-4
 _ACCEPT_WINDOW = 200_000
+#: Metropolis steps per kept Bingham draw
+_METROPOLIS_THIN = 10
+#: uniform draws of the Monte Carlo Bingham constant for d > 3
+_LOG_CONST_DRAWS = 200_000
 
 
 @dataclass(frozen=True)
@@ -262,19 +266,19 @@ def _sample_bingham(spec, n, rng):
     return out @ vecs.T
 
 
-def _bingham_metropolis(spec, n, rng, thin=10):
+def _bingham_metropolis(spec, n, rng):
     d = spec.d
     x = uniform_points(d, 1, rng)[0]
     logf = float(x @ spec.A @ x)
     out = np.empty((n, d))
-    for i in range(n * thin):
+    for i in range(n * _METROPOLIS_THIN):
         prop = x + 0.5 * rng.standard_normal(d)
         prop /= np.linalg.norm(prop)
         logf_prop = float(prop @ spec.A @ prop)
         if math.log(rng.random()) <= logf_prop - logf:
             x, logf = prop, logf_prop
-        if (i + 1) % thin == 0:
-            out[(i + 1) // thin - 1] = x
+        if (i + 1) % _METROPOLIS_THIN == 0:
+            out[(i + 1) // _METROPOLIS_THIN - 1] = x
     return out
 
 
@@ -289,9 +293,7 @@ def sample(spec, n, rng):
     if isinstance(spec, Uniform):
         return uniform_points(spec.d, n, rng)
     if isinstance(spec, (VonMisesFisher, Watson, LegendreProfile)):
-        if isinstance(spec, (VonMisesFisher, Watson)) and spec.kappa == 0.0:
-            return uniform_points(spec.d, n, rng)
-        if isinstance(spec, LegendreProfile) and spec.kappa == 0.0:
+        if spec.kappa == 0.0:
             return uniform_points(spec.d, n, rng)
         return _sample_symmetric(spec, n, rng)
     if isinstance(spec, Bingham):
@@ -314,7 +316,7 @@ def sample(spec, n, rng):
 # densities
 
 
-def _bingham_log_const(spec, mc_draws=200_000):
+def _bingham_log_const(spec):
     """log c(d, A); quadrature for d <= 3, Monte Carlo (with SE) above.
 
     Returns (log_const, stderr_of_const_relative).
@@ -345,10 +347,10 @@ def _bingham_log_const(spec, mc_draws=200_000):
         val, _ = integrate.quad(f, -1.0, 1.0, limit=200)
         return math.log(val), 0.0
     rng = as_generator(0xB1A6)
-    x = uniform_points(d, mc_draws, rng)
+    x = uniform_points(d, _LOG_CONST_DRAWS, rng)
     vals = np.exp(np.einsum("ij,jk,ik->i", x, spec.A, x))
     mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(mc_draws))
+    se = float(vals.std(ddof=1) / math.sqrt(_LOG_CONST_DRAWS))
     return math.log(mean * surface_area(d)), se / mean
 
 

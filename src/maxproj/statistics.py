@@ -64,15 +64,15 @@ def _points(sample):
 # maximal-projection statistics
 
 
-def max_projection_values(x, betas, cover_points, block=512):
+def max_projection_values(x, betas, cover_points):
     """Cover-maximized statistics for several powers in one pass.
 
     Returns ``{beta: n * max_b (mean_i (b.x_i)^beta - psi_beta)^2}`` over the
     cover directions b.  This is the hot path of the Monte Carlo loops, and it
     has two routes that agree to rounding:
 
-    - the *direct* route projects the sample onto each block of ``block``
-      cover directions and raises the (block, n) projections to every power:
+    - the *direct* route projects the sample onto each block of 512 cover
+      directions and raises the (block, n) projections to every power:
       cost ~ m n beta_max;
     - the *moment* route uses (b.x)^beta = sum_{|a|=beta} beta!/a! b^a x^a, so
       each profile is one dot product of the sample's mean monomials M_beta
@@ -89,10 +89,15 @@ def max_projection_values(x, betas, cover_points, block=512):
 
     The route is chosen by a fixed cost rule in (d, n, m, beta_max) only
     (:func:`_moment_route_cheaper`), so a run's output bytes do not depend on
-    how its replications are split over workers.
+    how its replications are split over workers.  An empty sample or one with
+    a non-finite coordinate raises :class:`InputError` on both routes.
     """
     x = np.asarray(x, dtype=float)
     cov = np.asarray(cover_points, dtype=float)
+    if x.shape[0] == 0:
+        raise InputError("the sample holds no point")
+    if not np.isfinite(x).all():
+        raise InputError("the sample holds a non-finite coordinate")
     if cov.shape[1] != x.shape[1]:
         raise InputError(f"cover dimension {cov.shape[1]} != sample dimension {x.shape[1]}")
     if cov.shape[0] == 0:
@@ -103,17 +108,17 @@ def max_projection_values(x, betas, cover_points, block=512):
     n, d = x.shape
     if _moment_route_cheaper(d, n, cov.shape[0], betas[-1]):
         return _moment_values(x, betas, cov)
-    return _direct_values(x, betas, cov, block)
+    return _direct_values(x, betas, cov)
 
 
-def _direct_values(x, betas, cov, block):
+def _direct_values(x, betas, cov):
     """Direct route of :func:`max_projection_values`; ``betas`` sorted, unique."""
     n, d = x.shape
     psis = {b: psi(d, b) for b in betas}
     best = dict.fromkeys(betas, 0.0)
     xt = np.ascontiguousarray(x.T)
-    for start in range(0, cov.shape[0], block):
-        proj = cov[start : start + block] @ xt
+    for start in range(0, cov.shape[0], _DIRECT_BLOCK):
+        proj = cov[start : start + _DIRECT_BLOCK] @ xt
         powers = proj.copy()
         for b in range(1, betas[-1] + 1):
             if b > 1:
@@ -150,6 +155,9 @@ def _moment_route_cheaper(d, n, m, beta_max):
         return False
     return 2 * (n + 2 * m) * r * (1 + r / 1000) < m * n * (d + 2 * beta_max)
 
+
+#: cover directions per block of the direct route
+_DIRECT_BLOCK = 512
 
 #: sample points per block of the moment route: the sample's mean monomials
 #: are sums of per-block sums, so this size is part of the output bytes
@@ -319,7 +327,7 @@ def _rayleigh_mod(x):
     return (1.0 - 1.0 / (2.0 * n)) * r + r * r / (2.0 * n * (d + 2.0))
 
 
-def sphere_sobolev(sample, include_gine=None, theta=None):
+def sphere_sobolev(sample, theta=None):
     """Ajne, modified Rayleigh, Bingham and (d >= 3) Gine statistics.
 
     ``theta`` may pass the sample's pairwise angles, ``_pairwise_angles(x)``,
@@ -327,8 +335,6 @@ def sphere_sobolev(sample, include_gine=None, theta=None):
     """
     x = _points(sample)
     n, d = x.shape
-    if include_gine is None:
-        include_gine = d >= 3
     s = (x.T @ x) / n
     bingham = n * d * (d + 2.0) / 2.0 * (float(np.trace(s @ s)) - 1.0 / d)
     if theta is None:
@@ -338,9 +344,7 @@ def sphere_sobolev(sample, include_gine=None, theta=None):
         "rayleigh_mod": _rayleigh_mod(x),
         "bingham": float(bingham),
     }
-    if include_gine:
-        if d < 3:
-            raise InputError("the Gine statistic is defined here only for d >= 3")
+    if d >= 3:
         coeff = (d - 1.0) * math.gamma(d / 2.0 - 1.0) ** 2 / (2.0 * n * math.gamma(d / 2.0) ** 2)
         out["gine"] = float(n / 2.0 - coeff * np.sum(np.sin(theta)))
     return out
@@ -370,15 +374,11 @@ def _projection_pdf(d, y):
     return (1.0 - y * y) ** ((d - 3) / 2.0) / sps.beta(0.5, (d - 1) / 2.0)
 
 
-def ks_statistic(values, cdf_values=None, d=None):
-    """One-sample Kolmogorov-Smirnov sup distance against F_{d-1}.
-
-    Pass either precomputed CDF values at the *sorted* sample or the
-    dimension ``d``.
-    """
+def ks_statistic(values, d):
+    """One-sample Kolmogorov-Smirnov sup distance against F_{d-1}."""
     v = np.sort(np.asarray(values, dtype=float), kind="stable")
     n = v.shape[0]
-    f = projection_cdf(d, v) if cdf_values is None else np.asarray(cdf_values)
+    f = projection_cdf(d, v)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
@@ -419,9 +419,9 @@ def ca_test(sample, q, rng):
 
 
 @lru_cache(maxsize=None)
-def _cvm_kernel_table(d, grid_size=1024):
+def _cvm_kernel_table(d):
     """Interpolation table of the angle kernel for d >= 5 (one quadrature per node)."""
-    thetas = np.linspace(0.0, math.pi, grid_size)
+    thetas = np.linspace(0.0, math.pi, 1024)
     vals = np.array([_cvm_kernel_quad(d, th) for th in thetas])
     return thetas, vals
 

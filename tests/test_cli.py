@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import maxproj.limits as limits
 from conftest import run_python
 from maxproj.cli import main
+from maxproj.harness import RunConfig, cmd_critvals, cmd_limit, write_rows
 
 
 def run_cli(args, capsys):
@@ -64,6 +65,20 @@ def test_limit_subcommand(capsys):
     assert row["method"] == "kernel"
     # chi2_2/2 95% quantile ~ 3.0 at modest simulation size
     assert 2.5 <= float(row["quantile"]) <= 3.4
+
+
+def test_library_limit_rows_match_the_cli(capsys):
+    # the limit-field cover and replications of the inf/inf* rows and of
+    # limit come from cover_m and null_replications, as --cover-m and --reps
+    cfg = RunConfig(d=2, n=(30, "inf", "inf*"), betas=(1, 3), cover_m=300,
+                    null_replications=500, seed=4)
+    argv = ["--d", "2", "--n", "30", "inf", "inf*", "--beta", "1", "3",
+            "--cover-m", "300", "--reps", "500", "--seed", "4"]
+    for command, rows in (("critvals", cmd_critvals(cfg)), ("limit", cmd_limit(cfg))):
+        code, out, _ = run_cli([command, *argv], capsys)
+        assert code == 0
+        assert out == write_rows(rows)
+        assert {(r["replications"], r["cover_m"]) for r in rows} == {(500, 300)}
 
 
 def test_power_subcommand_orders_alternatives(capsys):

@@ -59,7 +59,6 @@ def test_negative_seed_is_an_input_error():
     (dict(d=1), "dimension must be >= 2"),
     (dict(d=-3), "dimension must be >= 2"),
     (dict(cover_m=0), "cover_m must be >= 1"),
-    (dict(limit_m=-1), "limit_m must be >= 1"),
 ])
 def test_dimension_and_cover_size_are_checked_up_front(bad, message):
     with pytest.raises(InputError, match=message):
@@ -141,9 +140,7 @@ def test_rejection_rates_directions():
 
 
 def test_cmd_critvals_rows_and_limit_rows():
-    cfg = small_config(n=(30, "inf"), betas=(1, 2), null_replications=300)
-    cfg.limit_m = 200
-    cfg.limit_replications = 2000
+    cfg = small_config(n=(30, "inf"), betas=(1, 2), null_replications=300, cover_m=200)
     rows = cmd_critvals(cfg)
     stats = {(r["n"], r["statistic"]) for r in rows}
     assert (30, "T1") in stats and ("inf", "T2") in stats

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -93,9 +92,26 @@ def test_dimension_mismatch_rejected():
         max_projection_values(np.eye(3), [3], np.empty((0, 3)))
 
 
+@pytest.mark.parametrize("n, moment_route", [(100, True), (20, False)])
+def test_non_finite_or_empty_sample_rejected(n, moment_route):
+    betas = [3, 4, 5, 6]
+    cover = uniform_points(3, 5000, stream(61, 1))
+    assert _moment_route_cheaper(3, n, 5000, betas[-1]) is moment_route
+    x = uniform_points(3, n, stream(61, 0))
+    for bad in (np.nan, np.inf):
+        y = x.copy()
+        y[5, 1] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            max_projection_values(y, betas, cover)
+    # an empty sample would take the direct route
+    assert not _moment_route_cheaper(3, 0, 5000, betas[-1])
+    with pytest.raises(InputError, match="no point"):
+        max_projection_values(np.empty((0, 3)), betas, cover)
+
+
 # --- the two routes of max_projection_values ------------------------------------
 
-ROUTES = (functools.partial(_direct_values, block=512), _moment_values)
+ROUTES = (_direct_values, _moment_values)
 ROUTE_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
 
@@ -113,7 +129,7 @@ def _route_case(d, n, seed, m=300):
 def test_moment_route_matches_direct_route(d, n, betas, seed):
     x, cover = _route_case(d, n, seed)
     betas = sorted(betas)
-    direct = _direct_values(x, betas, cover, 512)
+    direct = _direct_values(x, betas, cover)
     moment = _moment_values(x, betas, cover)
     for b in betas:
         assert abs(moment[b] - direct[b]) <= 1e-12 * direct[b], (b, moment[b], direct[b])
@@ -299,19 +315,15 @@ def test_circle_requires_d2():
 
 
 def test_bingham_orthonormal_frame_vanishes():
-    out = sphere_sobolev(np.eye(2), include_gine=False)
+    out = sphere_sobolev(np.eye(2))
     assert out["bingham"] == pytest.approx(0.0, abs=1e-12)
+    assert "gine" not in out  # Gine is defined here only for d >= 3
 
 
 def test_gine_orthogonal_pair_d3():
     out = sphere_sobolev(np.eye(3)[:2])
     # prefactor (d-1) Gamma(d/2-1)^2 / (2 n Gamma(d/2)^2) = 2 at d=3, n=2
     assert out["gine"] == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_gine_requires_d3():
-    with pytest.raises(InputError):
-        sphere_sobolev(np.eye(2), include_gine=True)
 
 
 def test_rayleigh_mod_antipodal_pair():
@@ -323,7 +335,7 @@ def test_rayleigh_mod_antipodal_pair():
 def test_circle_and_sphere_ajne_agree_at_d2():
     x = from_angles([0.1, 1.2, 2.9, 4.4])
     a = circle_classical(x)["ajne"]
-    b = sphere_sobolev(x, include_gine=False)["ajne"]
+    b = sphere_sobolev(x)["ajne"]
     assert a == pytest.approx(b, abs=1e-12)
 
 
