@@ -5,7 +5,7 @@ columns), keeps only large features, and runs the full testing pipeline.  The
 same flow is available from the shell:
 
     maxproj ingest-check --data craters.csv --min-diameter 150
-    maxproj test --data craters.csv --min-diameter 150 --d 3 --reps 999
+    maxproj test --data craters.csv --min-diameter 150 --reps 999
 """
 
 import tempfile

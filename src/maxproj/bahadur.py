@@ -230,7 +230,11 @@ def bahadur_report(alt, beta, d, kappas=(1e-1, 1e-2, 1e-3), m=None):
     )
 
 
-def are_table(dims=(2, 3, 5, 10)):
+#: the dimensions of the study's efficiency table
+STUDY_DIMS = (2, 3, 5, 10)
+
+
+def are_table(dims=STUDY_DIMS):
     """All non-trivial local ARE rows: vMF, Watson and profile orders 1..6, powers 1..6.
 
     Returns a list of dicts with keys alternative, beta, and one column per

@@ -6,11 +6,13 @@ Subcommands: ``critvals``, ``power``, ``test``, ``limit``, ``bahadur``,
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from ._errors import DataError, InputError, NumericalError
+from .bahadur import STUDY_DIMS
 from .harness import (
     LIMIT_TOKENS,
     RunConfig,
@@ -40,83 +42,90 @@ def _parse_n(token):
         raise argparse.ArgumentTypeError(f"sample size {token!r} is not an int or inf/inf*")
 
 
-def _common(sub, *, data=False, power=False, limit=False):
-    sub.add_argument("--d", type=int, default=2, help="ambient dimension (sphere is S^{d-1})")
-    sub.add_argument("--n", type=_parse_n, nargs="+", default=[100],
-                     help="sample sizes; critvals also accepts inf and inf*")
-    sub.add_argument("--beta", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6],
-                     help="projection powers")
-    sub.add_argument("--alpha", type=float, default=0.05)
-    sub.add_argument("--cover-m", type=int, default=None,
-                     help="cover size for the maximal projection (default 5000 for d <= 3, "
-                          "20000 above); for limit and the inf/inf* rows, the limit-field "
-                          "cover (default 1000 for d <= 3, 5000 above)")
-    sub.add_argument("--reps", type=int, default=20000,
-                     help="null replications; for limit and the inf/inf* rows, the "
-                          "limit-field replications")
-    sub.add_argument("--seed", type=int, default=20230419)
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    if power:
-        sub.add_argument("--power-reps", type=int, default=5000)
-        sub.add_argument("--alt", action="append", default=None,
-                         help="alternative spec string, e.g. vmf:kappa=1 or lp:m=3,kappa=1; repeatable")
-    if data:
-        sub.add_argument("--data", required=True, help="CSV file (lat,lon or x1..xd schema)")
-        sub.add_argument("--min-diameter", type=float, default=None)
-    if limit:
-        sub.add_argument("--method", choices=("kernel", "harmonic"), default="kernel")
+#: option -> add_argument keywords.  ``dest`` names the RunConfig field the option
+#: fills, and an option left out keeps that field's default; only ``--out`` and
+#: ``--format``, which are no run settings, have a default of their own
+OPTIONS = {
+    "--d": dict(dest="d", type=int, help="ambient dimension (sphere is S^{d-1})"),
+    "--n": dict(dest="n", type=_parse_n, nargs="+",
+                help="sample sizes; critvals also accepts inf and inf*"),
+    "--beta": dict(dest="betas", type=int, nargs="+", help="projection powers"),
+    "--alpha": dict(dest="alpha", type=float, help="level of the tests"),
+    "--cover-m": dict(dest="cover_m", type=int,
+                      help="cover size for the maximal projection (default 5000 for d <= 3, "
+                           "20000 above); for limit and the inf/inf* rows, the limit-field "
+                           "cover (default 1000 for d <= 3, 5000 above)"),
+    "--reps": dict(dest="null_replications", type=int,
+                   help="null replications; for limit and the inf/inf* rows, the "
+                        "limit-field replications"),
+    "--seed": dict(dest="seed", type=int),
+    "--workers": dict(dest="workers", type=int, help="worker processes"),
+    "--out": dict(default=None, help="output path (default: stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--power-reps": dict(dest="power_replications", type=int,
+                         help="replications per alternative"),
+    "--alt": dict(dest="alternatives", action="append",
+                  help="alternative spec string, e.g. vmf:kappa=1 or lp:m=3,kappa=1; "
+                       "repeatable (default: the seven of the study)"),
+    "--data": dict(dest="data", required=True, help="CSV file (lat,lon or x1..xd schema)"),
+    "--min-diameter": dict(dest="min_diameter", type=float),
+    "--method": dict(dest="limit_method", choices=("kernel", "harmonic")),
+}
 
+_RUN = ("--d", "--n", "--beta", "--alpha", "--cover-m", "--reps", "--seed", "--workers",
+        "--out", "--format")
 
-DEFAULT_ALTERNATIVES = (
-    "uniform",
-    "vmf:kappa=0.5",
-    "vmf:kappa=1",
-    "mixvmf2:p=0.5",
-    "bing1:kappa=1",
-    "lp:m=3,kappa=1",
-    "lp:m=4,kappa=1",
-)
+#: simulation subcommand -> (help, the options it registers)
+SUBCOMMANDS = {
+    "critvals": ("simulate null critical values", _RUN),
+    "power": ("empirical power table", (*_RUN, "--power-reps", "--alt")),
+    "test": ("test an observed dataset",
+             ("--d", "--n", "--beta", "--cover-m", "--reps", "--seed", "--workers", "--out",
+              "--format", "--data", "--min-diameter")),
+    "limit": ("limit-distribution quantiles",
+              ("--d", "--beta", "--alpha", "--cover-m", "--reps", "--seed", "--workers", "--out",
+               "--format", "--method")),
+}
+
+#: (subcommand, option) -> help of an option its command accepts but does not read;
+#: each stays because existing scripts pass it
+NO_EFFECT = {
+    ("test", "--d"): "no effect: the dimension is the data file's",
+    ("test", "--n"): "no effect: the sample size is the data file's row count",
+    ("limit", "--workers"): "no effect: the limit field is simulated in one process",
+}
+
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def build_parser():
     parser = _Parser(prog="maxproj", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    _common(subs.add_parser("critvals", help="simulate null critical values"))
-    _common(subs.add_parser("power", help="empirical power table"), power=True)
-    _common(subs.add_parser("test", help="test an observed dataset"), data=True)
-    _common(subs.add_parser("limit", help="limit-distribution quantiles"), limit=True)
+    for name, (help_text, flags) in SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            kwargs = dict(OPTIONS[flag])
+            if (name, flag) in NO_EFFECT:
+                kwargs["help"] = NO_EFFECT[name, flag]
+            sub.add_argument(flag, **kwargs)
     b = subs.add_parser("bahadur", help="local efficiency table")
-    b.add_argument("--d", type=int, nargs="+", default=[2, 3, 5, 10])
-    b.add_argument("--out", default=None)
-    b.add_argument("--format", choices=("csv", "json"), default="csv")
-    i = subs.add_parser("ingest-check", help="validate a data file and print the report")
-    i.add_argument("--data", required=True)
-    i.add_argument("--min-diameter", type=float, default=None)
+    b.add_argument("--d", dest="dims", type=int, nargs="+", default=STUDY_DIMS)
+    for flag in ("--out", "--format"):
+        b.add_argument(flag, **OPTIONS[flag])
+    i = subs.add_parser("ingest-check", help="validate a data file and print the report",
+                        argument_default=argparse.SUPPRESS)
+    for flag in ("--data", "--min-diameter"):
+        i.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
 def _config_from(args):
-    return RunConfig(
-        d=args.d,
-        n=tuple(args.n),
-        betas=tuple(args.beta),
-        alpha=args.alpha,
-        cover_m=args.cover_m,
-        null_replications=args.reps,
-        power_replications=getattr(args, "power_reps", 5000),
-        seed=args.seed,
-        workers=args.workers,
-        alternatives=tuple(getattr(args, "alt", None) or DEFAULT_ALTERNATIVES),
-        min_diameter=getattr(args, "min_diameter", None),
-        data=getattr(args, "data", None),
-        limit_method=getattr(args, "method", "kernel"),
-    )
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in _FIELDS})
 
 
 def _ingest_check(args):
-    _, report = ingest(args.data, min_diameter=args.min_diameter)
+    config = _config_from(args)
+    _, report = ingest(config.data, min_diameter=config.min_diameter)
     print(
         f"schema={report.schema} read={report.rows_read} kept={report.rows_kept} "
         f"repaired={report.rows_repaired} skipped={report.rows_skipped} "
@@ -131,7 +140,7 @@ COMMANDS = {
     "power": lambda args: cmd_power(_config_from(args)),
     "test": lambda args: cmd_test(_config_from(args)),
     "limit": lambda args: cmd_limit(_config_from(args)),
-    "bahadur": lambda args: cmd_bahadur(dims=tuple(args.d)),
+    "bahadur": lambda args: cmd_bahadur(dims=tuple(args.dims)),
     "ingest-check": _ingest_check,
 }
 

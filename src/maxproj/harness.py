@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from ._errors import DataError, InputError
+from .bahadur import STUDY_DIMS, are_table
 from .geometry import SphericalSample, latlon_to_unit, normalize_rows, uniform_points
 from .limits import limit_quantile, quantile_stderr
 from .rng import NS_NULL, NS_POWER, NS_TEST, stream
@@ -50,15 +51,6 @@ LIMIT_TOKENS = {"inf": "kernel", "inf*": "harmonic"}
 def default_cover_m(d):
     """Cover sizes of the study protocol: 5000 for d <= 3, 20000 above."""
     return 5000 if d <= 3 else 20000
-
-
-def battery_names(d, betas):
-    names = [f"T{b}" for b in sorted(betas)]
-    if d == 2:
-        names += ["kuiper", "watson_u2", "ajne", "rayleigh_mod", "ca25"]
-    else:
-        names += ["ajne", "rayleigh_mod", "bingham", "gine", "ca100", "cvm"]
-    return names
 
 
 def evaluate_battery(x, betas, cover_points=None, rng_ca=None, competitors=True):
@@ -157,11 +149,13 @@ def run_replications(task, replications, workers=1):
 
 @dataclass
 class RunConfig:
-    """Knobs of a harness run; defaults mirror the study protocol.
+    """Settings of a harness run, with the study protocol as defaults.
 
-    ``cover_m`` and ``null_replications`` also size the limit-field
-    simulation of :func:`cmd_limit` and of the ``inf``/``inf*`` rows, where
-    ``cover_m=None`` stands for ``limits.default_cover_size(d)``.
+    This class holds every default the CLI uses: each option of the
+    simulation subcommands fills one field, and a field no option sets keeps
+    the value written here.  ``cover_m`` and ``null_replications`` also size
+    the limit-field simulation of :func:`cmd_limit` and of the ``inf``/``inf*``
+    rows, where ``cover_m=None`` stands for ``limits.default_cover_size(d)``.
     """
 
     d: int = 2
@@ -173,7 +167,8 @@ class RunConfig:
     power_replications: int = 5_000
     seed: int = 20230419
     workers: int = 1
-    alternatives: tuple = ()
+    alternatives: tuple = ("uniform", "vmf:kappa=0.5", "vmf:kappa=1", "mixvmf2:p=0.5",
+                           "bing1:kappa=1", "lp:m=3,kappa=1", "lp:m=4,kappa=1")
     min_diameter: float = None
     data: str = None
     limit_method: str = "kernel"
@@ -205,17 +200,14 @@ class RunConfig:
         return self.cover_m if self.cover_m is not None else default_cover_m(self.d)
 
 
+def _task(config, n, ns, alt=None, competitors=False):
+    """Replication task: ``n``-point samples from ``alt`` (None: uniform), streams ``ns``."""
+    return {"d": config.d, "n": n, "betas": tuple(config.betas), "m": config.m,
+            "seed": config.seed, "ns": ns, "alt": alt, "competitors": competitors}
+
+
 def simulate_null(config, n, competitors=False):
-    task = {
-        "d": config.d,
-        "n": int(n),
-        "betas": tuple(config.betas),
-        "m": config.m,
-        "seed": config.seed,
-        "ns": (NS_NULL, int(n)),
-        "alt": None,
-        "competitors": competitors,
-    }
+    task = _task(config, int(n), (NS_NULL, int(n)), competitors=competitors)
     return run_replications(task, config.null_replications, config.workers)
 
 
@@ -227,9 +219,13 @@ def _with_provenance(rows, config):
     return rows
 
 
+def _level(name, alpha):
+    """Quantile level of the critical value of statistic ``name`` at test level ``alpha``."""
+    return alpha if name in LOWER_TAIL else 1.0 - alpha
+
+
 def critical_value(null_values, alpha, name):
-    q = alpha if name in LOWER_TAIL else 1.0 - alpha
-    return float(np.quantile(null_values, q))
+    return float(np.quantile(null_values, _level(name, alpha)))
 
 
 def cmd_critvals(config):
@@ -241,38 +237,19 @@ def cmd_critvals(config):
     rows = []
     for n in config.n:
         if isinstance(n, str):
-            for beta in config.betas:
-                lq = _limit_quantile(config, beta, LIMIT_TOKENS[n])
-                rows.append(
-                    {
-                        "d": config.d,
-                        "n": n,
-                        "statistic": f"T{beta}",
-                        "alpha": config.alpha,
-                        "critical_value": lq.value,
-                        "mc_stderr": lq.mc_stderr,
-                        "replications": lq.replications,
-                        "cover_m": lq.m,
-                    }
-                )
-            continue
-        nulls = simulate_null(config, n)
-        for name, values in nulls.items():
-            cv = critical_value(values, config.alpha, name)
-            rows.append(
-                {
-                    "d": config.d,
-                    "n": int(n),
-                    "statistic": name,
-                    "alpha": config.alpha,
-                    "critical_value": cv,
-                    "mc_stderr": quantile_stderr(
-                        values, config.alpha if name in LOWER_TAIL else 1.0 - config.alpha
-                    ),
-                    "replications": config.null_replications,
-                    "cover_m": config.m,
-                }
-            )
+            lqs = [_limit_quantile(config, beta, LIMIT_TOKENS[n]) for beta in config.betas]
+            cells = [(f"T{beta}", lq.value, lq.mc_stderr, lq.replications, lq.m)
+                     for beta, lq in zip(config.betas, lqs)]
+        else:
+            n = int(n)
+            cells = [(name, critical_value(values, config.alpha, name),
+                      quantile_stderr(values, _level(name, config.alpha)),
+                      config.null_replications, config.m)
+                     for name, values in simulate_null(config, n).items()]
+        rows += [{"d": config.d, "n": n, "statistic": name, "alpha": config.alpha,
+                  "critical_value": cv, "mc_stderr": stderr, "replications": replications,
+                  "cover_m": m}
+                 for name, cv, stderr, replications, m in cells]
     return _with_provenance(rows, config)
 
 
@@ -299,16 +276,7 @@ def cmd_power(config):
     rows = []
     for a_idx, alt_text in enumerate(config.alternatives):
         label, spec = parse_alternative(alt_text, config.d)
-        task = {
-            "d": config.d,
-            "n": n,
-            "betas": tuple(config.betas),
-            "m": config.m,
-            "seed": config.seed,
-            "ns": (NS_POWER, a_idx),
-            "alt": spec,
-            "competitors": True,
-        }
+        task = _task(config, n, (NS_POWER, a_idx), spec, competitors=True)
         stats = run_replications(task, config.power_replications, config.workers)
         rates = rejection_rates(stats, critvals)
         for name in sorted(rates):
@@ -399,9 +367,7 @@ def cmd_limit(config):
     return _with_provenance(rows, config)
 
 
-def cmd_bahadur(dims=(2, 3, 5, 10)):
-    from .bahadur import are_table
-
+def cmd_bahadur(dims=STUDY_DIMS):
     rows = []
     for row in are_table(dims=dims):
         out = {"alternative": row["alternative"], "beta": row["beta"]}

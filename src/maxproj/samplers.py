@@ -11,8 +11,9 @@ drawn by rejection, proposing from the *uniform* projection law
 w(t)/max w, where w is the family's angular profile.  The proposal already
 carries the (1-t^2)^{(d-3)/2} geometry factor, so the envelope constant is
 simply max w: exp(kappa) for exp(kappa t) and exp(kappa t^2), and 1 + kappa
-for the profile 1 + kappa P_m.  The remaining tangent direction is uniform on
-the equator subsphere.
+for the profile 1 + kappa P_m.  Each profile is written pre-divided by that
+maximum, so it is the acceptance probability itself.  The remaining tangent
+direction is uniform on the equator subsphere.
 
 The Bingham family (density proportional to exp(x' A x)) is not rotationally
 symmetric and uses rejection from an angular central Gaussian proposal with a
@@ -166,21 +167,21 @@ def three_center_mix(p, theta1, theta2, theta3, kappa1, kappa2, kappa3):
 
 
 def _cosine_profile(spec):
-    """(w(t) vectorized, max w) for the rotationally symmetric families."""
+    """The family's profile pre-divided by its maximum, w(t) / max w, vectorized."""
     if isinstance(spec, VonMisesFisher):
         k = spec.kappa
-        return (lambda t: np.exp(k * (t - 1.0))), 1.0  # pre-divided by e^kappa
+        return lambda t: np.exp(k * (t - 1.0))
     if isinstance(spec, Watson):
         k = spec.kappa
-        return (lambda t: np.exp(k * (t * t - 1.0))), 1.0
+        return lambda t: np.exp(k * (t * t - 1.0))
     if isinstance(spec, LegendreProfile):
         k, m, d = spec.kappa, spec.m, spec.d
-        return (lambda t: (1.0 + k * legendre_eval(d, m, t)) / (1.0 + k)), 1.0
+        return lambda t: (1.0 + k * legendre_eval(d, m, t)) / (1.0 + k)
     raise InputError(f"not a rotationally symmetric family: {spec}")
 
 
 def _sample_cosines(spec, n, rng):
-    ratio, _ = _cosine_profile(spec)
+    ratio = _cosine_profile(spec)
     d = spec.d
     a = (d - 1) / 2.0
     out = np.empty(n)

@@ -89,8 +89,9 @@ def max_projection_values(x, betas, cover_points):
 
     The route is chosen by a fixed cost rule in (d, n, m, beta_max) only
     (:func:`_moment_route_cheaper`), so a run's output bytes do not depend on
-    how its replications are split over workers.  An empty sample or one with
-    a non-finite coordinate raises :class:`InputError` on both routes.
+    how its replications are split over workers.  An empty sample or cover,
+    or one with a non-finite coordinate, raises :class:`InputError` on both
+    routes.
     """
     x = np.asarray(x, dtype=float)
     cov = np.asarray(cover_points, dtype=float)
@@ -102,6 +103,8 @@ def max_projection_values(x, betas, cover_points):
         raise InputError(f"cover dimension {cov.shape[1]} != sample dimension {x.shape[1]}")
     if cov.shape[0] == 0:
         raise InputError("the cover holds no direction")
+    if not np.isfinite(cov).all():
+        raise InputError("the cover holds a non-finite coordinate")
     betas = sorted(set(int(b) for b in betas))
     if not betas or betas[0] < 1:
         raise InputError("powers must be >= 1")

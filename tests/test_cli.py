@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import maxproj.limits as limits
 from conftest import run_python
-from maxproj.cli import main
+from maxproj.cli import SUBCOMMANDS, main
 from maxproj.harness import RunConfig, cmd_critvals, cmd_limit, write_rows
 
 
@@ -72,13 +72,73 @@ def test_library_limit_rows_match_the_cli(capsys):
     # limit come from cover_m and null_replications, as --cover-m and --reps
     cfg = RunConfig(d=2, n=(30, "inf", "inf*"), betas=(1, 3), cover_m=300,
                     null_replications=500, seed=4)
-    argv = ["--d", "2", "--n", "30", "inf", "inf*", "--beta", "1", "3",
-            "--cover-m", "300", "--reps", "500", "--seed", "4"]
-    for command, rows in (("critvals", cmd_critvals(cfg)), ("limit", cmd_limit(cfg))):
-        code, out, _ = run_cli([command, *argv], capsys)
+    argv = ["--d", "2", "--beta", "1", "3", "--cover-m", "300", "--reps", "500", "--seed", "4"]
+    for command, rows in ((["critvals", "--n", "30", "inf", "inf*"], cmd_critvals(cfg)),
+                          (["limit"], cmd_limit(cfg))):
+        code, out, _ = run_cli([*command, *argv], capsys)
         assert code == 0
         assert out == write_rows(rows)
         assert {(r["replications"], r["cover_m"]) for r in rows} == {(500, 300)}
+
+
+#: a small run of each simulation subcommand, option -> values
+BASE_ARGS = {
+    "critvals": {"--d": ["2"], "--n": ["20"], "--beta": ["1", "3"], "--alpha": ["0.05"],
+                 "--cover-m": ["50"], "--reps": ["100"], "--seed": ["1"]},
+    "power": {"--d": ["2"], "--n": ["20"], "--beta": ["1", "3"], "--alpha": ["0.05"],
+              "--cover-m": ["50"], "--reps": ["64"], "--power-reps": ["64"], "--seed": ["1"],
+              "--alt": ["vmf:kappa=1"]},
+    "test": {"--data": ["{data}"], "--beta": ["1", "3"], "--cover-m": ["50"], "--reps": ["50"],
+             "--seed": ["1"]},
+    "limit": {"--d": ["2"], "--beta": ["1"], "--alpha": ["0.05"], "--cover-m": ["50"],
+              "--reps": ["100"], "--seed": ["1"], "--method": ["kernel"]},
+}
+
+#: option -> values other than its base values
+OTHER_ARGS = {"--d": ["4"], "--n": ["21"], "--beta": ["1", "4"], "--alpha": ["0.1"],
+              "--cover-m": ["5"], "--reps": ["101"], "--power-reps": ["65"], "--seed": ["2"],
+              "--alt": ["vmf:kappa=2"], "--data": ["{other}"], "--min-diameter": ["100"],
+              "--method": ["harmonic"], "--workers": ["2"]}
+
+#: options a subcommand accepts that change no output byte
+NO_EFFECT = {"critvals": {"--workers"}, "power": {"--workers"},
+             "test": {"--workers", "--d", "--n"}, "limit": {"--workers"}}
+
+
+@pytest.mark.parametrize("command", sorted(BASE_ARGS))
+def test_every_option_changes_the_output(command, tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    paths = {}
+    for name in ("data", "other"):
+        pts = rng.standard_normal((40, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        rows = [",".join(map(repr, [*row.tolist(), 50.0 + 5.0 * i])) for i, row in enumerate(pts)]
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("x1,x2,x3,diameter_km\n" + "\n".join(rows) + "\n")
+
+    def output(args):
+        argv = [command]
+        for flag, values in args.items():
+            values = [v.format(**paths) for v in values]
+            argv += [f"{flag}={v}" for v in values] if flag == "--alt" else [flag, *values]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        return out
+
+    base = output(BASE_ARGS[command])
+    for flag in sorted(set(SUBCOMMANDS[command][1]) - {"--out", "--format"}):
+        changed = output({**BASE_ARGS[command], flag: OTHER_ARGS[flag]})
+        assert (changed == base) == (flag in NO_EFFECT[command]), flag
+
+
+@pytest.mark.parametrize("argv", [["limit", "--n", "5"],
+                                  ["test", "--data", "unused.csv", "--alpha", "0.1"]])
+def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: maxproj") and "unrecognized arguments" in err
 
 
 def test_power_subcommand_orders_alternatives(capsys):
@@ -225,20 +285,24 @@ def fuzz_data(tmp_path_factory):
 def test_cli_fuzz_exits_with_a_documented_code(fuzz_data, command, d, n, cover_m, betas, alpha,
                                                seed, reps, power_reps, alts, data, min_diameter,
                                                fmt):
+    values = {"--d": [str(d)], "--n": n, "--cover-m": [str(cover_m)],
+              "--beta": [str(b) for b in betas], "--alpha": [str(alpha)], "--seed": [str(seed)],
+              "--reps": [str(reps)], "--power-reps": [str(power_reps)],
+              "--data": [fuzz_data[data]], "--format": [fmt]}
+    if min_diameter is not None:
+        values["--min-diameter"] = [min_diameter]
     if command == "bahadur":
         argv = [command, "--d", str(d), str(d + 2), "--format", fmt]
-    elif command == "ingest-check":
-        argv = [command, "--data", fuzz_data[data]]
-        if min_diameter is not None:
-            argv += ["--min-diameter", min_diameter]
     else:
-        argv = [command, "--d", str(d), "--n", *n, "--cover-m", str(cover_m),
-                "--beta", *map(str, betas), "--alpha", str(alpha), "--seed", str(seed),
-                "--reps", str(reps)]
-    if command == "power":
-        argv += ["--power-reps", str(power_reps), *(f"--alt={a}" for a in alts)]
-    elif command == "test":
-        argv += ["--data", fuzz_data[data]]
+        # only the options the command registers, so that no example dies in argparse
+        options = (SUBCOMMANDS[command][1] if command in SUBCOMMANDS
+                   else ("--data", "--min-diameter"))
+        argv = [command]
+        for flag in options:
+            if flag == "--alt":
+                argv += [f"--alt={a}" for a in alts]
+            elif flag in values:
+                argv += [flag, *values[flag]]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)

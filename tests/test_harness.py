@@ -12,8 +12,8 @@ from maxproj import DataError, InputError
 from maxproj.geometry import uniform_points
 from maxproj.harness import (
     RunConfig,
-    battery_names,
     cmd_critvals,
+    cmd_power,
     cmd_test,
     critical_value,
     evaluate_battery,
@@ -107,9 +107,26 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, replicati
 
 
 def test_battery_names_by_dimension():
-    assert battery_names(2, (1, 2)) == ["T1", "T2", "kuiper", "watson_u2", "ajne", "rayleigh_mod", "ca25"]
-    names3 = battery_names(3, (1,))
-    assert "gine" in names3 and "cvm" in names3 and "ca100" in names3
+    names = {}
+    for d in (2, 3):
+        x = uniform_points(d, 30, stream(1))
+        cover = uniform_points(d, 50, stream(2))
+        names[d] = list(evaluate_battery(x, (1, 2, 3), cover_points=cover, rng_ca=stream(3),
+                                         competitors=True))
+    assert names[2] == ["T1", "T2", "T3", "kuiper", "watson_u2", "ajne", "rayleigh_mod", "ca25"]
+    assert names[3] == ["T1", "T2", "T3", "ajne", "rayleigh_mod", "bingham", "gine", "ca100",
+                        "cvm"]
+
+
+def test_power_defaults_to_the_study_alternatives():
+    # the CLI's power command without --alt runs the same seven
+    config = RunConfig(d=2, n=(20,), betas=(1,), null_replications=64, power_replications=64)
+    rows = cmd_power(config)
+    assert list(dict.fromkeys(row["alternative"] for row in rows)) == [
+        "uniform", "vmf:kappa=0.5", "vmf:kappa=1", "mixvmf2:p=0.5", "bing1:kappa=1",
+        "lp:m=3,kappa=1", "lp:m=4,kappa=1"]
+    with pytest.raises(InputError, match="no alternatives"):
+        cmd_power(RunConfig(d=2, n=(20,), alternatives=()))
 
 
 def test_evaluate_battery_requires_cover_for_high_powers():

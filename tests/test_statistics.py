@@ -109,6 +109,18 @@ def test_non_finite_or_empty_sample_rejected(n, moment_route):
         max_projection_values(np.empty((0, 3)), betas, cover)
 
 
+@pytest.mark.parametrize("n, moment_route", [(100, True), (20, False)])
+def test_non_finite_cover_rejected(n, moment_route):
+    x = uniform_points(3, n, stream(1))
+    cover = uniform_points(3, 5000, stream(2))
+    assert _moment_route_cheaper(3, n, 5000, 6) is moment_route
+    one_row, every_row = cover.copy(), np.full_like(cover, np.nan)
+    one_row[0] = np.nan
+    for bad in (one_row, every_row):
+        with pytest.raises(InputError, match="cover holds a non-finite"):
+            max_projection_values(x, [3, 4, 5, 6], bad)
+
+
 # --- the two routes of max_projection_values ------------------------------------
 
 ROUTES = (_direct_values, _moment_values)
