@@ -37,7 +37,7 @@ lines += [f"{la:.5f},{lo:.5f},{dk:.1f}" for la, lo, dk in zip(lat, lon, diam)]
 csv_path.write_text("\n".join(lines) + "\n")
 print(f"wrote {csv_path} with {points.shape[0]} rows")
 
-samp, report = ingest(csv_path, min_diameter=150.0)
+x, report = ingest(csv_path, min_diameter=150.0)
 print(
     f"ingest: schema={report.schema}, read={report.rows_read}, "
     f"kept={report.rows_kept}, filtered={report.rows_filtered}"
@@ -52,7 +52,7 @@ config = RunConfig(
     data=str(csv_path),
     min_diameter=150.0,
 )
-print(f"\ntesting the {samp.n} large features (999 null replications) ...")
+print(f"\ntesting the {x.shape[0]} large features (999 null replications) ...")
 for row in cmd_test(config):
     stars = "*" if row["pvalue"] < 0.05 else ""
     print(f"  {row['statistic']:>3s}: value {row['value']:8.4f}, p = {row['pvalue']:.3f} {stars}")

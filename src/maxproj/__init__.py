@@ -12,15 +12,8 @@ deterministic Monte Carlo harness (also exposed as the ``maxproj`` CLI).
 __version__ = "0.1.0"
 
 from ._errors import DataError, InputError, NumericalError
-from .geometry import (
-    DirectionCover,
-    SphericalSample,
-    latlon_to_unit,
-    make_cover,
-    sample_uniform,
-    surface_area,
-)
-from .kernels import ShiftFunction, Spectrum, ZonalKernel, funk_hecke_check
+from .geometry import latlon_to_unit, make_cover, surface_area
+from .kernels import Spectrum, ZonalKernel, funk_hecke_check
 from .legendre import harmonic_dim, legendre_eval, power_expansion, psi
 from .limits import LimitQuantile, limit_quantile, simulate_harmonic_max, simulate_kernel_max
 from .samplers import (
@@ -36,15 +29,14 @@ from .samplers import (
     sample,
 )
 from .statistics import (
-    TestOutcome,
-    ca_test,
+    ca_statistic,
     circle_classical,
-    cvm_test,
+    cvm_statistic,
+    max_projection_values,
     projection_cdf,
     sphere_sobolev,
     t1_closed,
     t2_closed,
-    t_stat,
 )
 from .bahadur import are_table, gamma_shift, kl_divergence, local_are, slope
 from .harness import RunConfig, cmd_critvals, cmd_power, cmd_test, ingest, mc_pvalue
@@ -52,28 +44,24 @@ from .harness import RunConfig, cmd_critvals, cmd_power, cmd_test, ingest, mc_pv
 __all__ = [
     "Bingham",
     "DataError",
-    "DirectionCover",
     "InputError",
     "LegendreProfile",
     "LimitQuantile",
     "MixtureVMF",
     "NumericalError",
     "RunConfig",
-    "ShiftFunction",
     "Spectrum",
-    "SphericalSample",
-    "TestOutcome",
     "Uniform",
     "VonMisesFisher",
     "Watson",
     "ZonalKernel",
     "are_table",
-    "ca_test",
+    "ca_statistic",
     "circle_classical",
     "cmd_critvals",
     "cmd_power",
     "cmd_test",
-    "cvm_test",
+    "cvm_statistic",
     "density",
     "funk_hecke_check",
     "gamma_shift",
@@ -85,6 +73,7 @@ __all__ = [
     "limit_quantile",
     "local_are",
     "make_cover",
+    "max_projection_values",
     "mc_pvalue",
     "parse_alternative",
     "power_expansion",
@@ -92,7 +81,6 @@ __all__ = [
     "projection_cdf",
     "psi",
     "sample",
-    "sample_uniform",
     "simulate_harmonic_max",
     "simulate_kernel_max",
     "slope",
@@ -100,5 +88,4 @@ __all__ = [
     "surface_area",
     "t1_closed",
     "t2_closed",
-    "t_stat",
 ]

@@ -162,11 +162,11 @@ def gamma_profile(alt, beta, d, kappa, s, m=None):
 
 
 def gamma_shift(alt, beta, d, kappa, cover=None, m=None):
-    """max_b gamma_kappa(b)^2, over a cover or a dense cosine grid."""
+    """max_b gamma_kappa(b)^2, over an ``(m, d)`` cover array or a dense cosine grid."""
     if cover is None:
         s = np.linspace(-1.0, 1.0, _GRID_SIZE)
     else:
-        pts = np.asarray(getattr(cover, "points", cover), dtype=float)
+        pts = np.asarray(cover, dtype=float)
         axis = np.zeros(pts.shape[1])
         axis[0] = 1.0
         s = np.clip(pts @ axis, -1.0, 1.0)

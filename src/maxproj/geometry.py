@@ -1,13 +1,11 @@
 """Hypersphere primitives.
 
 Surface areas, uniform sampling, direction covers and coordinate handling for
-points on the unit sphere of R^d.  Directions are plain ``(d,)`` arrays and
-point sets are ``(n, d)`` arrays of unit rows; the two small dataclasses below
-only add metadata (sample size, reproducibility seed) on top.
+points on the unit sphere of R^d.  Directions are plain ``(d,)`` arrays, and
+point sets and covers are plain ``(n, d)`` arrays of unit rows.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,62 +56,6 @@ def as_unit_vector(v):
     return unit[0]
 
 
-@dataclass(frozen=True)
-class SphericalSample:
-    """An ``(n, d)`` array of unit row vectors."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 2:
-            raise InputError(f"expected an (n, d) array with d >= 2, got shape {pts.shape}")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def from_array(cls, arr):
-        """Build a sample, renormalizing slightly off-sphere rows.
-
-        Rows with norm below ``REPAIR_FLOOR`` raise :class:`InputError`.
-        """
-        unit, _, bad = normalize_rows(np.atleast_2d(np.asarray(arr, dtype=float)))
-        if bad.any():
-            rows = np.flatnonzero(bad)
-            raise InputError(f"rows {rows.tolist()} have norm < {REPAIR_FLOOR:g}")
-        return cls(unit)
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @property
-    def d(self):
-        return self.points.shape[1]
-
-
-@dataclass(frozen=True)
-class DirectionCover:
-    """A reproducible set of ``m`` uniform directions used to scan maxima."""
-
-    points: np.ndarray
-    seed: int = field(default=0)
-
-    @property
-    def m(self):
-        return self.points.shape[0]
-
-    @property
-    def d(self):
-        return self.points.shape[1]
-
-
-def as_points(obj):
-    """Accept a SphericalSample, DirectionCover or bare array; return the array."""
-    if isinstance(obj, (SphericalSample, DirectionCover)):
-        return obj.points
-    return np.asarray(obj, dtype=float)
-
-
 def uniform_points(d, n, rng):
     """Raw ``(n, d)`` array of iid uniform directions (normalized Gaussians)."""
     if d < 2:
@@ -130,13 +72,8 @@ def uniform_points(d, n, rng):
     return x / norms[:, None]
 
 
-def sample_uniform(d, n, rng):
-    """Sample ``n`` iid uniform directions on S^{d-1} as a SphericalSample."""
-    return SphericalSample(uniform_points(d, n, rng))
-
-
 def make_cover(d, m, seed):
-    """Uniform random cover of S^{d-1}, bit-reproducible from ``seed``.
+    """Uniform random cover of S^{d-1} as an ``(m, d)`` array, bit-reproducible from ``seed``.
 
     Requires ``m >= d`` so that downstream covariance matrices have full
     column space.
@@ -145,8 +82,7 @@ def make_cover(d, m, seed):
         raise InputError(f"cover size must be >= 1, got {m}")
     if m < d:
         raise InputError(f"cover size {m} is smaller than the dimension {d}")
-    pts = uniform_points(d, m, stream(seed, NS_COVER))
-    return DirectionCover(points=pts, seed=int(seed))
+    return uniform_points(d, m, stream(seed, NS_COVER))
 
 
 def latlon_to_unit(lat_deg, lon_deg):

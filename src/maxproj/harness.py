@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from ._errors import DataError, InputError
 from .bahadur import STUDY_DIMS, are_table
-from .geometry import SphericalSample, latlon_to_unit, normalize_rows, uniform_points
+from .geometry import latlon_to_unit, normalize_rows, uniform_points
 from .limits import limit_quantile, quantile_stderr
 from .rng import NS_NULL, NS_POWER, NS_TEST, stream
 from .samplers import parse_alternative, sample
@@ -308,8 +308,7 @@ def cmd_test(config):
     """Statistics and Monte Carlo p-values for an observed dataset."""
     if config.data is None:
         raise InputError("no data file given")
-    samp, report = ingest(config.data, min_diameter=config.min_diameter)
-    x = samp.points
+    x, report = ingest(config.data, min_diameter=config.min_diameter)
     n, d = x.shape
     null_config = replace(config, d=d, n=(n,))
     cover = uniform_points(d, null_config.m, stream(config.seed, NS_TEST, 0))
@@ -393,7 +392,7 @@ class IngestReport:
 
 
 def ingest(path, min_diameter=None):
-    """Read a CSV of directions into a SphericalSample.
+    """Read a CSV of directions; returns the ``(n, d)`` array and an :class:`IngestReport`.
 
     Accepted schemas (by header): ``lat,lon`` in degrees (d = 3), or
     coordinate columns ``x1..xd``.  An optional ``diameter_km`` column
@@ -456,7 +455,7 @@ def ingest(path, min_diameter=None):
                     raise DataError(f"{path}:{line_no}: {exc}") from None
             arr = np.array(pts)
             report.rows_kept = arr.shape[0]
-            return SphericalSample(arr), report
+            return arr, report
         arr = np.array([v for _, v in raw])
         unit, repaired, bad = normalize_rows(arr)
         report.rows_repaired = int(repaired.sum())
@@ -465,7 +464,7 @@ def ingest(path, min_diameter=None):
         if not keep.any():
             raise DataError(f"{path}: every row failed unit-norm repair")
         report.rows_kept = int(keep.sum())
-        return SphericalSample(unit[keep]), report
+        return unit[keep], report
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,6 @@ class Spectrum:
         return float(self.eigenvalues[k]) if 0 <= k <= self.beta else 0.0
 
     @property
-    def multiplicities(self):
-        return tuple(harmonic_dim(self.d, k) for k in range(self.beta + 1))
-
-    @property
     def total_variance(self):
         exact = sum(
             lam * harmonic_dim(self.d, k) for k, lam in enumerate(self.eigenvalues)
@@ -142,18 +138,6 @@ class ZonalKernel:
         return Spectrum(beta=self.beta, d=self.d, eigenvalues=tuple(lams))
 
 
-def eta(beta, d, t):
-    return ZonalKernel(beta, d).eta(t)
-
-
-def rho(beta, d, t):
-    return ZonalKernel(beta, d).rho(t)
-
-
-def spectrum(beta, d):
-    return ZonalKernel(beta, d).spectrum
-
-
 def shift_amplitude_exact(beta, d, m):
     """Exact shift coefficient c_{m,d}(beta) / nu_d(m).
 
@@ -167,33 +151,19 @@ def shift_amplitude_exact(beta, d, m):
     return power_expansion(d, beta).coeff(m) / harmonic_dim(d, m)
 
 
-@dataclass(frozen=True)
-class ShiftFunction:
-    """Limit shift b -> amp * P_m(theta.b) under a local order-m perturbation."""
-
-    beta: int
-    d: int
-    m: int
-    theta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", as_unit_vector(self.theta))
-
-    @cached_property
-    def amplitude(self):
-        return float(shift_amplitude_exact(self.beta, self.d, self.m))
-
-    def value(self, b):
-        b = np.asarray(b, dtype=float)
-        if self.amplitude == 0.0:
-            return np.zeros(b.shape[:-1]) if b.ndim > 1 else 0.0
-        t = np.clip(b @ self.theta, -1.0, 1.0)
-        return self.amplitude * legendre_eval(self.d, self.m, t)
-
-
 def shift_value(beta, d, m, theta, b):
-    """Convenience wrapper around :class:`ShiftFunction`."""
-    return ShiftFunction(beta=beta, d=d, m=m, theta=theta).value(b)
+    """Limit shift amp * P_m(theta.b) at directions ``b`` under a local order-m perturbation.
+
+    ``amp`` is :func:`shift_amplitude_exact`; ``b`` is one direction or an
+    array of them along its last axis.
+    """
+    theta = as_unit_vector(theta)
+    b = np.asarray(b, dtype=float)
+    amplitude = float(shift_amplitude_exact(beta, d, m))
+    if amplitude == 0.0:
+        return np.zeros(b.shape[:-1]) if b.ndim > 1 else 0.0
+    t = np.clip(b @ theta, -1.0, 1.0)
+    return amplitude * legendre_eval(d, m, t)
 
 
 # ---------------------------------------------------------------------------

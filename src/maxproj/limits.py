@@ -217,9 +217,13 @@ def quantile_stderr(values, alpha, seed=0):
 
 
 def limit_quantile(beta, d, alpha=0.95, method="kernel", m=None, replications=None, seed=0):
-    """Empirical alpha-quantile of the simulated limit maxima."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie in (0, 1)")
+    """Empirical alpha-quantile of the simulated limit maxima.
+
+    ``alpha`` is the quantile level, 0 and 1 included: a test at a level below
+    about 1.1e-16 asks for the level 1.0, because 1.0 - level rounds to 1.0.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise InputError(f"quantile level must lie in [0, 1], got {alpha}")
     if method == "kernel":
         maxima = simulate_kernel_max(beta, d, m=m, replications=replications, seed=seed)
     elif method == "harmonic":

@@ -19,12 +19,10 @@ from ._errors import InputError
 
 # Namespace constants; never renumber, streams are part of the output contract.
 NS_COVER = 1
-NS_SAMPLE = 2
 NS_NULL = 3
 NS_POWER = 4
 NS_LIMIT = 5
 NS_TEST = 6
-NS_CA = 7
 
 
 def stream(seed, *path):

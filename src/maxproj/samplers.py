@@ -33,7 +33,11 @@ from .legendre import legendre_eval
 from .rng import as_generator
 from .special import vmf_norm_const, watson_norm_const
 
+#: lowest acceptance rate of the cosine sampler, which then raises
 _MIN_ACCEPT = 1e-4
+#: lowest acceptance rate of the Bingham sampler, which then falls back to Metropolis
+_BINGHAM_MIN_ACCEPT = 1e-3
+#: candidates proposed before either acceptance rate is checked
 _ACCEPT_WINDOW = 200_000
 #: Metropolis steps per kept Bingham draw
 _METROPOLIS_THIN = 10
@@ -180,27 +184,42 @@ def _cosine_profile(spec):
     raise InputError(f"not a rotationally symmetric family: {spec}")
 
 
-def _sample_cosines(spec, n, rng):
-    ratio = _cosine_profile(spec)
-    d = spec.d
-    a = (d - 1) / 2.0
-    out = np.empty(n)
+def _rejection(out, propose, min_accept, what):
+    """Fill ``out`` along its first axis with accepted proposals and return it.
+
+    ``propose(block)`` draws ``block`` candidates and returns them with the
+    mask of the accepted ones.  Blocks hold at least 2048 candidates and twice
+    the number still missing.  Once ``_ACCEPT_WINDOW`` candidates have been
+    proposed, an acceptance rate below ``min_accept`` raises
+    :class:`NumericalError`, naming the sampler as ``what``.
+    """
+    n = out.shape[0]
     filled = proposed = accepted = 0
     while filled < n:
         block = max(2048, 2 * (n - filled))
-        t = 2.0 * rng.beta(a, a, size=block) - 1.0
-        keep = rng.random(block) <= ratio(t)
-        got = t[keep]
-        take = min(got.size, n - filled)
+        cand, keep = propose(block)
+        got = cand[keep]
+        take = min(got.shape[0], n - filled)
         out[filled : filled + take] = got[:take]
         filled += take
         proposed += block
-        accepted += got.size
-        if proposed >= _ACCEPT_WINDOW and accepted < _MIN_ACCEPT * proposed:
+        accepted += got.shape[0]
+        if proposed >= _ACCEPT_WINDOW and accepted < min_accept * proposed:
             raise NumericalError(
-                f"cosine rejection acceptance {accepted/proposed:.2e} below {_MIN_ACCEPT:g}"
+                f"{what} rejection acceptance {accepted/proposed:.2e} below {min_accept:g}"
             )
     return out
+
+
+def _sample_cosines(spec, n, rng):
+    ratio = _cosine_profile(spec)
+    a = (spec.d - 1) / 2.0
+
+    def propose(block):
+        t = 2.0 * rng.beta(a, a, size=block) - 1.0
+        return t, rng.random(block) <= ratio(t)
+
+    return _rejection(np.empty(n), propose, _MIN_ACCEPT, "cosine")
 
 
 def _equator_directions(theta, n, rng):
@@ -243,27 +262,19 @@ def _sample_bingham(spec, n, rng):
     b = _bingham_tuning(a, d)
     log_m = -(d - b) / 2.0 + (d / 2.0) * math.log(d / b)
     prop_sd = np.sqrt(1.0 / (1.0 + 2.0 * a / b))
-    out = np.empty((n, d))
-    filled = proposed = accepted = 0
-    while filled < n:
-        block = max(2048, 2 * (n - filled))
+
+    def propose(block):
         y = rng.standard_normal((block, d)) * prop_sd
         x = y / np.linalg.norm(y, axis=1)[:, None]
         s = (x * x) @ a
         log_ratio = -s + (d / 2.0) * np.log1p(2.0 * s / b) - log_m
-        keep = np.log(rng.random(block)) <= log_ratio
-        got = x[keep]
-        take = min(got.shape[0], n - filled)
-        out[filled : filled + take] = got[:take]
-        filled += take
-        proposed += block
-        accepted += got.shape[0]
-        if proposed >= _ACCEPT_WINDOW and accepted < 1e-3 * proposed:
-            warnings.warn(
-                "Bingham rejection acceptance below 1e-3; falling back to Metropolis",
-                RuntimeWarning,
-            )
-            return _bingham_metropolis(spec, n, rng)
+        return x, np.log(rng.random(block)) <= log_ratio
+
+    try:
+        out = _rejection(np.empty((n, d)), propose, _BINGHAM_MIN_ACCEPT, "Bingham")
+    except NumericalError as exc:
+        warnings.warn(f"{exc}; falling back to Metropolis", RuntimeWarning)
+        return _bingham_metropolis(spec, n, rng)
     return out @ vecs.T
 
 

@@ -16,47 +16,32 @@ one, which aggregates p-values by their minimum.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from ._errors import InputError, NumericalError
-from .geometry import as_points, uniform_points
+from .geometry import uniform_points
 from .legendre import psi
-from .rng import as_generator
 
 __all__ = [
-    "TestOutcome",
-    "max_projection_stat",
-    "t_stat",
+    "max_projection_values",
     "t1_closed",
     "t2_closed",
     "circle_classical",
     "sphere_sobolev",
     "projection_cdf",
     "ks_statistic",
-    "ca_test",
-    "cvm_test",
+    "ca_statistic",
+    "cvm_statistic",
     "cvm_kernel",
 ]
 
 
-@dataclass(frozen=True)
-class TestOutcome:
-    """A computed statistic with optional p-value and provenance metadata."""
-
-    name: str
-    value: float
-    method: str
-    pvalue: float = None
-    metadata: dict = field(default_factory=dict)
-
-
 def _points(sample):
-    x = as_points(sample)
+    x = np.asarray(sample, dtype=float)
     if x.ndim != 2:
-        raise InputError(f"expected an (n, d) sample, got shape {x.shape}")
+        raise InputError(f"expected an (n, d) array of points, got shape {x.shape}")
     return x
 
 
@@ -89,12 +74,12 @@ def max_projection_values(x, betas, cover_points):
 
     The route is chosen by a fixed cost rule in (d, n, m, beta_max) only
     (:func:`_moment_route_cheaper`), so a run's output bytes do not depend on
-    how its replications are split over workers.  An empty sample or cover,
-    or one with a non-finite coordinate, raises :class:`InputError` on both
-    routes.
+    how its replications are split over workers.  A sample or cover that is
+    not two-dimensional, is empty or holds a non-finite coordinate raises
+    :class:`InputError` on both routes.
     """
-    x = np.asarray(x, dtype=float)
-    cov = np.asarray(cover_points, dtype=float)
+    x = _points(x)
+    cov = _points(cover_points)
     if x.shape[0] == 0:
         raise InputError("the sample holds no point")
     if not np.isfinite(x).all():
@@ -249,23 +234,6 @@ def _moment_values(x, betas, cov):
     return {b: n * v for b, v in best.items()}
 
 
-def max_projection_stat(x, beta, cover_points):
-    """n * max over the cover of (mean (b.U)^beta - psi)^2."""
-    return max_projection_values(x, [beta], cover_points)[beta]
-
-
-def t_stat(sample, beta, cover):
-    """Cover-estimated maximal-projection statistic as a TestOutcome."""
-    x = _points(sample)
-    cov = as_points(cover)
-    value = max_projection_stat(x, beta, cov)
-    meta = {"m": cov.shape[0]}
-    seed = getattr(cover, "seed", None)
-    if seed is not None:
-        meta["cover_seed"] = seed
-    return TestOutcome(name=f"T{beta}", value=value, method="random_cover", metadata=meta)
-
-
 def t1_closed(sample):
     """Exact T_1 = n ||mean||^2 (squared resultant form)."""
     x = _points(sample)
@@ -395,7 +363,7 @@ def ca_statistic(x, q, rng):
     """
     from scipy import special as sps
 
-    x = np.asarray(x, dtype=float)
+    x = _points(x)
     n, d = x.shape
     h = uniform_points(d, q, rng)
     v = np.sort(x @ h.T, axis=0, kind="stable")
@@ -403,18 +371,6 @@ def ca_statistic(x, q, rng):
     i = np.arange(1, n + 1)[:, None]
     k = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
     return float(sps.kolmogorov(math.sqrt(n) * k))
-
-
-def ca_test(sample, q, rng):
-    """Random-projection test aggregated over q directions."""
-    if q < 1:
-        raise InputError("need q >= 1 projections")
-    x = _points(sample)
-    rng = as_generator(rng)
-    value = ca_statistic(x, q, rng)
-    return TestOutcome(
-        name=f"CA{q}", value=value, method="random_cover", metadata={"q": q, "tail": "lower"}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +443,9 @@ def cvm_kernel(d, theta):
 
 def cvm_statistic(x, theta=None):
     """Projected Cramer-von Mises statistic; ``theta`` as in :func:`sphere_sobolev`."""
-    x = np.asarray(x, dtype=float)
+    x = _points(x)
     n, d = x.shape
     if theta is None:
         theta = _pairwise_angles(x)
     return float(2.0 / n * np.sum(cvm_kernel(d, theta)) + (3.0 * n - 2.0) / 6.0)
 
-
-def cvm_test(sample):
-    """Projected Cramer-von Mises statistic (U-statistic form)."""
-    x = _points(sample)
-    return TestOutcome(name="CvM", value=cvm_statistic(x), method="closed_form")

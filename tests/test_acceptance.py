@@ -63,7 +63,7 @@ def test_c03_cover_matches_closed_forms(acceptance):
         for rep in range(50):
             x = uniform_points(d, 50, stream(103, d, rep))
             cover = make_cover(d, 5000, seed=1000 + rep)
-            vals = max_projection_values(x, (1, 2), cover.points)
+            vals = max_projection_values(x, (1, 2), cover)
             for beta, closed in ((1, t1_closed(x)), (2, t2_closed(x))):
                 ratio = vals[beta] / closed
                 assert ratio <= 1.0 + 1e-12

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 import maxproj.limits as limits
 from conftest import run_python
 from maxproj.cli import SUBCOMMANDS, main
+from maxproj.geometry import uniform_points
 from maxproj.harness import RunConfig, cmd_critvals, cmd_limit, write_rows
+from maxproj.rng import stream
 
 
 def run_cli(args, capsys):
@@ -310,3 +312,55 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_data, command, d, n, cover_m
             code = exc.code
             assert code == 1
     assert code in (0, 1, 2, 3)
+
+
+_VALID_ALTS = ("uniform", "vmf:kappa=1", "mixvmf2:p=0.5", "bing1:kappa=1", "lp:m=3,kappa=1")
+
+
+@st.composite
+def valid_argv(draw, folder):
+    """Argv of a simulation command that holds only values the command accepts."""
+    command = draw(st.sampled_from(["critvals", "power", "test", "limit"]))
+    d = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**32))
+    argv = [command, "--beta", *map(str, draw(st.lists(st.integers(1, 6), min_size=1,
+                                                        max_size=3))),
+            "--cover-m", str(draw(st.integers(d, 40))), "--reps", str(draw(st.integers(1, 8))),
+            "--seed", str(seed)]
+    alpha = str(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    finite_n = st.integers(5, 30).map(str)
+    if command == "test":
+        # the dimension and the sample size are the data file's
+        n = draw(st.integers(5, 30))
+        path = folder / f"x_{d}_{n}_{seed}.csv"
+        rows = uniform_points(d, n, stream(seed))
+        path.write_text(",".join(f"x{k}" for k in range(1, d + 1)) + "\n"
+                        + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        return argv + ["--data", str(path)]
+    argv += ["--d", str(d), "--alpha", alpha]
+    if command == "critvals":
+        # the harmonic route of inf* exists for d in {2, 3} only
+        tokens = finite_n | st.sampled_from(["inf", "inf*"] if d <= 3 else ["inf"])
+        return argv + ["--n", *draw(st.lists(tokens, min_size=1, max_size=3))]
+    if command == "power":
+        alts = draw(st.lists(st.sampled_from(_VALID_ALTS), min_size=1, max_size=2))
+        return argv + ["--n", draw(finite_n), "--power-reps", str(draw(st.integers(1, 8))),
+                       *(f"--alt={a}" for a in alts)]
+    return argv + ["--method", draw(st.sampled_from(["kernel", "harmonic"] if d <= 3
+                                                    else ["kernel"]))]
+
+
+@pytest.fixture(scope="module")
+def valid_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("valid")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_valid_argv_writes_rows(valid_folder, data):
+    argv = data.draw(valid_argv(valid_folder))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, err.getvalue()
+    assert list(csv.DictReader(io.StringIO(out.getvalue())))

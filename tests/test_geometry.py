@@ -5,13 +5,10 @@ import pytest
 
 from maxproj import InputError
 from maxproj.geometry import (
-    DirectionCover,
-    SphericalSample,
     latlon_to_unit,
     make_cover,
     normalize_rows,
     random_rotation,
-    sample_uniform,
     surface_area,
     uniform_points,
 )
@@ -42,11 +39,11 @@ def test_surface_area_ratio_identity(d):
 
 
 def test_sample_uniform_unit_norms_and_determinism():
-    s1 = sample_uniform(7, 500, stream(9, 1))
-    s2 = sample_uniform(7, 500, stream(9, 1))
-    norms = np.linalg.norm(s1.points, axis=1)
+    s1 = uniform_points(7, 500, stream(9, 1))
+    s2 = uniform_points(7, 500, stream(9, 1))
+    norms = np.linalg.norm(s1, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
-    assert np.array_equal(s1.points, s2.points)
+    assert np.array_equal(s1, s2)
 
 
 def test_sample_uniform_mean_vector_clt_bound():
@@ -89,27 +86,27 @@ def test_latlon_rejects_bad_latitude():
 def test_make_cover_is_reproducible_bit_for_bit():
     c1 = make_cover(4, 100, seed=42)
     c2 = make_cover(4, 100, seed=42)
-    assert np.array_equal(c1.points, c2.points)
-    assert c1.seed == 42
+    assert np.array_equal(c1, c2)
+    assert c1.shape == (100, 4)
     c3 = make_cover(4, 100, seed=43)
-    assert not np.array_equal(c1.points, c3.points)
+    assert not np.array_equal(c1, c3)
 
 
 def test_make_cover_nested_prefix():
     small = make_cover(3, 200, seed=5)
     big = make_cover(3, 800, seed=5)
-    assert np.array_equal(big.points[:200], small.points)
+    assert np.array_equal(big[:200], small)
 
 
 def test_make_cover_high_dimension_unit_norms():
     cover = make_cover(10, 20_000, seed=8)
-    assert np.max(np.abs(np.linalg.norm(cover.points, axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(cover, axis=1) - 1.0)) <= 1e-12
 
 
 def test_make_cover_covering_radius_circle():
     # exact on the circle: covering radius is half the largest angular gap
     cover = make_cover(2, 5000, seed=31)
-    ang = np.sort(np.mod(np.arctan2(cover.points[:, 1], cover.points[:, 0]), 2 * math.pi))
+    ang = np.sort(np.mod(np.arctan2(cover[:, 1], cover[:, 0]), 2 * math.pi))
     gaps = np.diff(np.append(ang, ang[0] + 2 * math.pi))
     assert gaps.max() / 2.0 <= 0.01
 
@@ -127,19 +124,6 @@ def test_normalize_rows_repair_policy():
     assert repaired.tolist() == [False, True, False, False, False]
     assert bad.tolist() == [False, False, True, True, True]
     np.testing.assert_allclose(unit[1], [0, 1], atol=1e-15)
-
-
-def test_spherical_sample_from_array():
-    s = SphericalSample.from_array([[0.6, 0.8], [2.0, 0.0]])
-    assert s.n == 2 and s.d == 2
-    np.testing.assert_allclose(s.points[1], [1.0, 0.0], atol=1e-15)
-    with pytest.raises(InputError):
-        SphericalSample.from_array([[0.0, 0.0]])
-
-
-def test_direction_cover_metadata():
-    cover = DirectionCover(points=np.eye(3), seed=7)
-    assert cover.m == 3 and cover.d == 3
 
 
 def test_random_rotation_is_special_orthogonal():

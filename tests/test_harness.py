@@ -204,39 +204,39 @@ def test_unwritable_output_path_is_an_input_error(tmp_path):
 def test_ingest_latlon(tmp_path):
     p = tmp_path / "pts.csv"
     p.write_text("lat,lon\n0,0\n90,10\n")
-    samp, report = ingest(p)
+    x, report = ingest(p)
     assert report.schema == "latlon"
     assert report.rows_read == 2 and report.rows_kept == 2
-    np.testing.assert_allclose(samp.points[0], [1, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(x[0], [1, 0, 0], atol=1e-12)
 
 
 def test_ingest_coordinates_with_repair(tmp_path):
     p = tmp_path / "pts.csv"
     p.write_text("x1,x2\n0.6,0.8\n0.3,0.4\n0,0\n")
-    samp, report = ingest(p)
+    x, report = ingest(p)
     assert report.rows_read == 3
     assert report.rows_repaired == 1  # norm 0.5 row renormalized
     assert report.rows_skipped == 1  # zero row dropped
     assert report.rows_kept == 2
-    np.testing.assert_allclose(samp.points[0], [0.6, 0.8], atol=1e-12)
-    np.testing.assert_allclose(samp.points[1], [0.6, 0.8], atol=1e-12)
+    np.testing.assert_allclose(x[0], [0.6, 0.8], atol=1e-12)
+    np.testing.assert_allclose(x[1], [0.6, 0.8], atol=1e-12)
 
 
 def test_ingest_skips_non_finite_rows(tmp_path):
     p = tmp_path / "pts.csv"
     p.write_text("x1,x2,x3\n1,0,0\n0,1,0\nnan,0.5,0.5\n0,0,1\ninf,0,1\n0.6,0.8,0\n0,0.6,0.8\n")
-    samp, report = ingest(p)
+    x, report = ingest(p)
     assert (report.rows_read, report.rows_kept) == (7, 5)
     assert (report.rows_skipped, report.rows_repaired) == (2, 0)
-    assert np.all(np.isfinite(samp.points))
+    assert np.all(np.isfinite(x))
 
 
 def test_ingest_diameter_filter(tmp_path):
     p = tmp_path / "craters.csv"
     p.write_text("lat,lon,diameter_km\n10,20,200\n-5,40,100\n0,0,151\n")
-    samp, report = ingest(p, min_diameter=150.0)
+    x, report = ingest(p, min_diameter=150.0)
     assert report.rows_filtered == 1
-    assert samp.n == 2
+    assert x.shape[0] == 2
 
 
 def test_ingest_errors(tmp_path):

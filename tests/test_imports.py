@@ -94,3 +94,14 @@ _FORK_PROBE = textwrap.dedent("""
 ], ids=["critvals", "power"])
 def test_forked_workers_import_nothing(argv):
     python("-c", _FORK_PROBE, *argv)
+
+
+@pytest.mark.parametrize("module", ["maxproj", "maxproj.statistics"])
+def test_public_names_resolve(module):
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    names = __import__(module, fromlist=["__all__"]).__all__
+    for name in names:
+        assert name in namespace, name
+    # the array statistics the harness runs are the library's entry points
+    assert {"max_projection_values", "ca_statistic", "cvm_statistic"} <= set(names)

@@ -7,13 +7,10 @@ import pytest
 from maxproj import InputError
 from maxproj.geometry import surface_area, uniform_points
 from maxproj.kernels import (
-    ShiftFunction,
     ZonalKernel,
     funk_hecke_check,
-    rho,
     shift_amplitude_exact,
     shift_value,
-    spectrum,
 )
 from maxproj.legendre import harmonic_dim, legendre_eval
 from maxproj.limits import field_basis
@@ -60,7 +57,9 @@ def test_rho_matches_closed_forms():
     for beta in range(1, 7):
         for d in DIMS:
             t = rng.uniform(-1, 1, 50)
-            np.testing.assert_allclose(rho(beta, d, t), rho_closed(beta, d, t), atol=1e-12)
+            np.testing.assert_allclose(
+                ZonalKernel(beta, d).rho(t), rho_closed(beta, d, t), atol=1e-12
+            )
 
 
 def test_eta_examples():
@@ -78,7 +77,7 @@ def test_eta_examples():
 def test_spectrum_matches_closed_lists():
     for beta in range(1, 7):
         for d in DIMS:
-            spec = spectrum(beta, d)
+            spec = ZonalKernel(beta, d).spectrum
             closed = eigenvalues_closed(beta, d)
             for k in range(beta + 1):
                 assert spec.eigenvalue(k) == pytest.approx(closed.get(k, 0.0), abs=1e-14)
@@ -93,7 +92,7 @@ def test_spectrum_trace_identity():
 
 
 def test_spectrum_beta2_d3_value():
-    assert spectrum(2, 3).eigenvalue(2) == pytest.approx((2.0 / 15.0) ** 2, abs=1e-15)
+    assert ZonalKernel(2, 3).spectrum.eigenvalue(2) == pytest.approx((2.0 / 15.0) ** 2, abs=1e-15)
 
 
 def test_kernel_bounded_and_zonal():
@@ -143,14 +142,14 @@ def test_shift_amplitude_cases():
 
 def test_shift_function_profile():
     theta = np.array([1.0, 0.0])
-    sf = ShiftFunction(beta=4, d=2, m=2, theta=theta)
     b = uniform_points(2, 40, stream(12))
     t = b @ theta
+    amplitude = float(shift_amplitude_exact(4, 2, 2))
     np.testing.assert_allclose(
-        sf.value(b), sf.amplitude * legendre_eval(2, 2, np.clip(t, -1, 1)), atol=1e-14
+        shift_value(4, 2, 2, theta, b), amplitude * legendre_eval(2, 2, np.clip(t, -1, 1)),
+        atol=1e-14,
     )
-    zero = ShiftFunction(beta=3, d=2, m=6, theta=theta)
-    assert np.all(zero.value(b) == 0.0)
+    assert np.all(shift_value(3, 2, 6, theta, b) == 0.0)
 
 
 def test_funk_hecke_identity_for_matched_profile():

@@ -141,3 +141,5 @@ def test_limit_quantile_input_validation():
         limit_quantile(1, 2, alpha=1.2)
     with pytest.raises(InputError):
         limit_quantile(1, 2, method="nope", m=50, replications=10)
+    top = limit_quantile(1, 2, alpha=1.0, m=50, replications=10)
+    assert top.value == top.maxima.max()

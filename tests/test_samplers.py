@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from maxproj import InputError
+import maxproj.samplers as samplers
+from maxproj import InputError, NumericalError
 from maxproj.geometry import surface_area, uniform_points
 from maxproj.legendre import harmonic_dim, legendre_eval
 from maxproj.rng import stream
@@ -106,6 +107,21 @@ def test_bingham_second_moments_match_quadrature():
     den, _ = integrate.quad(weight, -1, 1)
     se = t2.std(ddof=1) / math.sqrt(n)
     assert abs(t2.mean() - num / den) <= 4.0 * se
+
+
+def test_cosine_rejection_raises_on_low_acceptance():
+    # the uniform proposal accepts about 1 / (2 kappa) = 5e-6 of its draws here
+    with pytest.raises(NumericalError, match="cosine rejection acceptance .* below 0.0001"):
+        sample(VonMisesFisher(E1_3, 1e5), 10, stream(13))
+
+
+def test_bingham_low_acceptance_falls_back_to_metropolis(monkeypatch):
+    monkeypatch.setattr(samplers, "_ACCEPT_WINDOW", 0)
+    monkeypatch.setattr(samplers, "_BINGHAM_MIN_ACCEPT", 1.0)
+    with pytest.warns(RuntimeWarning, match="falling back to Metropolis"):
+        x = sample(Bingham(np.diag([0.0, 0.5, 1.5])), 50, stream(14))
+    assert x.shape == (50, 3)
+    np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
 
 
 def test_mixture_component_weights():
