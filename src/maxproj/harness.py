@@ -7,6 +7,10 @@ byte-identical output files.  Null simulations draw one fresh direction cover
 per replication; the statistic of an observed dataset uses its own seeded
 cover, recorded in the output.
 
+Each command hands all of its simulations to :func:`run_jobs` at once, so it
+forks at most one worker pool, after the parent process has imported the scipy
+modules and built the CvM kernel table that every worker needs.
+
 Statistics with an upper rejection tail use the (1 - alpha) null quantile as
 critical value; the random-projection test rejects below its alpha-quantile.
 Monte Carlo p-values carry the +1/(R+1) finite-sample correction.
@@ -34,6 +38,7 @@ from .statistics import (
     _pairwise_angles,
     ca_statistic,
     circle_classical,
+    cvm_kernel,
     cvm_statistic,
     max_projection_values,
     sphere_sobolev,
@@ -115,32 +120,49 @@ def _worker_chunk(args):
     return r_start, names, np.array([[row[k] for k in names] for row in rows])
 
 
-def run_replications(task, replications, workers=1):
-    """Replication loop; returns name -> array of length ``replications``.
+def run_jobs(jobs, workers=1):
+    """Replication loops of several ``(task, replications)`` jobs on one pool.
 
-    At most one worker process runs per usable CPU and per chunk; the values
-    do not depend on the number of workers.
+    Returns one name -> array dict per job, in job order.  Each job is split
+    into chunks of ``max(64, ceil(replications / (4 workers)))``
+    replications, and the chunks of all jobs share one fork pool of at most
+    one worker per usable CPU and per chunk.  Before the pool forks, the
+    parent builds what every worker would otherwise build for itself: the
+    scipy modules of the competitor battery and the samplers, and the CvM
+    kernel table of each competitor task's dimension.  The values do not
+    depend on the number of workers.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, cpus or 1)
-    chunks = []
-    step = max(64, math.ceil(replications / max(1, 4 * workers)))
-    for start in range(0, replications, step):
-        chunks.append((task, start, min(start + step, replications)))
-    if workers <= 1 or len(chunks) == 1:
+    chunks, owners = [], []
+    for index, (task, replications) in enumerate(jobs):
+        step = max(64, math.ceil(replications / max(1, 4 * workers)))
+        for start in range(0, replications, step):
+            chunks.append((task, start, min(start + step, replications)))
+            owners.append(index)
+    if workers <= 1 or len(chunks) <= 1:
         results = [_worker_chunk(c) for c in chunks]
     else:
-        if task["competitors"] or task.get("alt") is not None:
+        tasks = [task for task, _ in jobs]
+        if any(task["competitors"] or task.get("alt") is not None for task in tasks):
             # the competitor battery and the samplers call scipy: import it once
             # here, so that the forked workers share it instead of each importing it
             import scipy.integrate, scipy.optimize, scipy.special  # noqa: F401, E401
+        for d in {task["d"] for task in tasks if task["competitors"]}:
+            cvm_kernel(d, 0.0)  # fills the quadrature table at d >= 5, free below
         with get_context("fork").Pool(processes=min(workers, len(chunks))) as pool:
-            results = pool.map(_worker_chunk, chunks)
-    names = results[0][1]
-    out = np.empty((replications, len(names)))
-    for start, _, block in results:
-        out[start : start + block.shape[0]] = block
-    return {name: out[:, j] for j, name in enumerate(names)}
+            results = pool.map(_worker_chunk, chunks, chunksize=1)
+    outs = [None] * len(jobs)
+    for index, (start, names, block) in zip(owners, results):
+        if outs[index] is None:
+            outs[index] = names, np.empty((jobs[index][1], len(names)))
+        outs[index][1][start : start + block.shape[0]] = block
+    return [{name: out[:, j] for j, name in enumerate(names)} for names, out in outs]
+
+
+def run_replications(task, replications, workers=1):
+    """Replication loop of one task; returns name -> array of length ``replications``."""
+    return run_jobs([(task, replications)], workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +228,13 @@ def _task(config, n, ns, alt=None, competitors=False):
             "seed": config.seed, "ns": ns, "alt": alt, "competitors": competitors}
 
 
+def _null_job(config, n, competitors=False):
+    """Null-simulation job of sample size ``n`` for :func:`run_jobs`."""
+    return _task(config, n, (NS_NULL, n), competitors=competitors), config.null_replications
+
+
 def simulate_null(config, n, competitors=False):
-    task = _task(config, int(n), (NS_NULL, int(n)), competitors=competitors)
-    return run_replications(task, config.null_replications, config.workers)
+    return run_replications(*_null_job(config, int(n), competitors), config.workers)
 
 
 def _with_provenance(rows, config):
@@ -234,6 +260,8 @@ def cmd_critvals(config):
     ``n`` entries may be integers or the tokens ``inf`` (covariance route) and
     ``inf*`` (harmonics route) for the limiting distribution.
     """
+    finite = list(dict.fromkeys(int(n) for n in config.n if not isinstance(n, str)))
+    nulls = dict(zip(finite, run_jobs([_null_job(config, n) for n in finite], config.workers)))
     rows = []
     for n in config.n:
         if isinstance(n, str):
@@ -245,7 +273,7 @@ def cmd_critvals(config):
             cells = [(name, critical_value(values, config.alpha, name),
                       quantile_stderr(values, _level(name, config.alpha)),
                       config.null_replications, config.m)
-                     for name, values in simulate_null(config, n).items()]
+                     for name, values in nulls[n].items()]
         rows += [{"d": config.d, "n": n, "statistic": name, "alpha": config.alpha,
                   "critical_value": cv, "mc_stderr": stderr, "replications": replications,
                   "cover_m": m}
@@ -271,13 +299,14 @@ def cmd_power(config):
     if len(config.n) != 1 or isinstance(config.n[0], str):
         raise InputError("power tables use exactly one finite sample size")
     n = int(config.n[0])
-    nulls = simulate_null(config, n, competitors=True)
+    alternatives = [parse_alternative(alt_text, config.d) for alt_text in config.alternatives]
+    jobs = [_null_job(config, n, competitors=True)]
+    jobs += [(_task(config, n, (NS_POWER, a_idx), spec, competitors=True),
+              config.power_replications) for a_idx, (_, spec) in enumerate(alternatives)]
+    nulls, *alt_stats = run_jobs(jobs, config.workers)
     critvals = {name: critical_value(v, config.alpha, name) for name, v in nulls.items()}
     rows = []
-    for a_idx, alt_text in enumerate(config.alternatives):
-        label, spec = parse_alternative(alt_text, config.d)
-        task = _task(config, n, (NS_POWER, a_idx), spec, competitors=True)
-        stats = run_replications(task, config.power_replications, config.workers)
+    for (label, _), stats in zip(alternatives, alt_stats):
         rates = rejection_rates(stats, critvals)
         for name in sorted(rates):
             p = rates[name]

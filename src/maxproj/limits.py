@@ -37,6 +37,10 @@ _DRAW_CHUNK = 4096
 #: bootstrap resamples behind a quantile's standard error
 _BOOTSTRAP = 200
 
+#: bootstrap resamples per vectorized quantile call: all 200 at once hold
+#: 200 copies of the values in memory
+_BOOTSTRAP_BLOCK = 25
+
 
 def default_cover_size(d):
     """Cover sizes mirroring the simulation study (1000 low-d, 5000 high-d)."""
@@ -210,9 +214,11 @@ def quantile_stderr(values, alpha, seed=0):
     rng = stream(seed, NS_LIMIT, 2)
     n = values.shape[0]
     reps = np.empty(_BOOTSTRAP)
-    for b in range(_BOOTSTRAP):
-        idx = rng.integers(0, n, size=n)
-        reps[b] = np.quantile(values[idx], alpha)
+    for start in range(0, _BOOTSTRAP, _BOOTSTRAP_BLOCK):
+        stop = min(start + _BOOTSTRAP_BLOCK, _BOOTSTRAP)
+        # the same indices, in the same order, as stop - start draws of size n
+        idx = rng.integers(0, n, size=(stop - start, n))
+        reps[start:stop] = np.quantile(values[idx], alpha, axis=1)
     return float(reps.std(ddof=1))
 
 

@@ -208,7 +208,13 @@ def _moment_values(x, betas, cov):
     steps, offsets, coefficients = _monomial_plan(d, betas[-1])
     r = offsets[-1]
     block = _SAMPLE_BLOCK * max(1, _MOMENT_BUFFER // (_SAMPLE_BLOCK * r))
-    buf = np.empty(r * max(min(n, _SAMPLE_BLOCK), min(m, block)))
+    size = r * max(min(n, _SAMPLE_BLOCK), min(m, block))
+    # filling the monomials takes up to 1.7 times as long on a buffer that is
+    # not 64-byte aligned, and np.empty does not promise that alignment:
+    # over-allocate and slice to a boundary
+    buf = np.empty(size + 8)
+    lead = (-buf.ctypes.data % 64) // 8
+    buf = buf[lead : lead + size]
     sums = dict.fromkeys(betas, 0.0)
     for start in range(0, n, _SAMPLE_BLOCK):
         feats = _fill_monomials(buf, x[start : start + _SAMPLE_BLOCK], steps, r)
@@ -264,7 +270,7 @@ def circle_classical(sample):
     if x.shape[1] != 2:
         raise InputError("circle statistics require d = 2")
     n = x.shape[0]
-    theta = np.sort(_angles(x), kind="stable")
+    theta = np.sort(_angles(x))
     u = theta / (2.0 * math.pi)
     i = np.arange(1, n + 1)
     d_plus = math.sqrt(n) * np.max(i / n - u)
@@ -347,7 +353,7 @@ def _projection_pdf(d, y):
 
 def ks_statistic(values, d):
     """One-sample Kolmogorov-Smirnov sup distance against F_{d-1}."""
-    v = np.sort(np.asarray(values, dtype=float), kind="stable")
+    v = np.sort(np.asarray(values, dtype=float))
     n = v.shape[0]
     f = projection_cdf(d, v)
     i = np.arange(1, n + 1)
@@ -366,7 +372,7 @@ def ca_statistic(x, q, rng):
     x = _points(x)
     n, d = x.shape
     h = uniform_points(d, q, rng)
-    v = np.sort(x @ h.T, axis=0, kind="stable")
+    v = np.sort(x @ h.T, axis=0)
     f = projection_cdf(d, v)
     i = np.arange(1, n + 1)[:, None]
     k = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))

@@ -56,6 +56,23 @@ def test_critvals_deterministic_across_workers(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["power", "--d", "3", "--n", "30", "--reps", "128", "--power-reps", "128", "--cover-m", "500",
+     "--alt=vmf:kappa=1", "--alt=mixvmf2:p=0.5", "--alt=bing1:kappa=1", "--alt=lp:m=3,kappa=1"],
+    ["critvals", "--n", "20", "30", "inf", "--reps", "128"],
+], ids=["power", "critvals"])
+def test_one_pool_commands_match_across_workers(argv, tmp_path, capsys):
+    # every job of the command shares one pool, whatever the worker count
+    outputs = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"w{workers}.csv"
+        code, _, _ = run_cli(argv + ["--seed", "5", "--workers", str(workers), "--out", str(path)],
+                             capsys)
+        assert code == 0
+        outputs.append(path.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_limit_subcommand(capsys):
     code, out, _ = run_cli(
         ["limit", "--d", "2", "--beta", "1", "--method", "kernel",

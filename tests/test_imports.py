@@ -91,7 +91,10 @@ _FORK_PROBE = textwrap.dedent("""
 @pytest.mark.parametrize("argv", [
     ["critvals", "--d", "3", "--reps", "128", "--workers", "2"],
     POWER,
-], ids=["critvals", "power"])
+    # the CvM kernel at d >= 5 is a scipy.integrate quadrature table
+    ["power", "--d", "10", "--n", "12", "--beta", "1", "2", "3", "--cover-m", "50",
+     "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1", "--workers", "2"],
+], ids=["critvals", "power", "power-d10"])
 def test_forked_workers_import_nothing(argv):
     python("-c", _FORK_PROBE, *argv)
 

@@ -15,7 +15,7 @@ from maxproj.limits import (
     simulate_harmonic_max,
     simulate_kernel_max,
 )
-from maxproj.rng import stream
+from maxproj.rng import NS_LIMIT, stream
 
 
 def test_cover_covariance_diagonal_is_total_variance():
@@ -108,6 +108,23 @@ def test_methods_agree_medium_scale():
     se = math.hypot(quantile_stderr(k, 0.95), quantile_stderr(h, 0.95))
     assert abs(qk - qh) <= 2.0 * se
     assert qh == pytest.approx(0.753, abs=0.02)
+
+
+def _loop_quantile_stderr(values, alpha, seed=0):
+    """One resample and one quantile call at a time: the reference of quantile_stderr."""
+    rng = stream(seed, NS_LIMIT, 2)
+    n = values.shape[0]
+    reps = [np.quantile(values[rng.integers(0, n, size=n)], alpha) for _ in range(200)]
+    return float(np.std(reps, ddof=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 0.95, 0.999, 1.0])
+def test_quantile_stderr_matches_the_one_resample_loop(n, alpha):
+    values = stream(71, n).standard_normal(n)
+    values[::3] = values[0]  # ties
+    for seed in (0, 5):
+        assert quantile_stderr(values, alpha, seed) == _loop_quantile_stderr(values, alpha, seed)
 
 
 def test_limit_quantile_monotone_and_bounded():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import special as sps
 
+import maxproj.statistics as statistics
 from maxproj import InputError
 from maxproj.geometry import make_cover, random_rotation, uniform_points
 from maxproj.legendre import psi
@@ -411,6 +412,52 @@ def test_ca_statistic_matches_per_column_loop():
                 sps.kolmogorov(math.sqrt(50) * ks_statistic(proj[:, j], d=d)) for j in range(q)
             )
             assert ca_statistic(x, q, stream(29, d, r)) == expect
+
+
+class _StableSortNumpy:
+    """numpy, except that ``sort`` always sorts with ``kind="stable"``."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def sort(a, axis=-1, kind=None):
+        return np.sort(a, axis=axis, kind="stable")
+
+
+def _with_stable_sort(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statistics, "np", _StableSortNumpy())
+        return fn(*args)
+
+
+_TIES = st.sampled_from((0.0, -0.0, 0.25, -0.5, 1.0, -1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 5),
+    n=st.integers(1, 40),
+    copies=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=20),
+    zeros=st.lists(st.tuples(st.integers(0, 39), st.booleans()), max_size=6),
+    values=st.lists(_TIES | st.floats(-1.0, 1.0), min_size=1, max_size=60),
+    seed=st.integers(0, 2**16),
+)
+def test_sorted_statistics_match_the_stable_sort(d, n, copies, zeros, values, seed):
+    # the sort keys are bare floats, so any sort kind gives the same values;
+    # -0.0 and 0.0 may trade places, and both have projection CDF 0.5
+    x = uniform_points(d, n, stream(seed))
+    circle = from_angles(stream(seed, 1).uniform(0.0, 2.0 * math.pi, n))
+    for i, j in copies:
+        x[i % n] = x[j % n]
+        circle[i % n] = circle[j % n]
+    for i, negative in zeros:
+        x[i % n] = -0.0 if negative else 0.0  # projections are exact zeros of either sign
+        circle[i % n] = (1.0, -0.0 if negative else 0.0)
+    assert ca_statistic(x, 25, stream(seed, 2)) == _with_stable_sort(
+        ca_statistic, x, 25, stream(seed, 2))
+    assert ks_statistic(values, d) == _with_stable_sort(ks_statistic, values, d)
+    assert circle_classical(circle) == _with_stable_sort(circle_classical, circle)
 
 
 # --- projected Cramer-von Mises -------------------------------------------------
