@@ -11,7 +11,7 @@ Carlo noise.
 import numpy as np
 from scipy import stats
 
-from maxproj import ZonalKernel
+from maxproj import ZonalKernel, harmonic_dim
 from maxproj.limits import simulate_harmonic_max, simulate_kernel_max
 
 BETA, D, REPS = 2, 2, 50_000
@@ -26,12 +26,12 @@ for q in (0.90, 0.95, 0.99):
         f"harmonics route {np.quantile(harmonic_max, q):.3f}"
     )
 
-spec = ZonalKernel(BETA, D).spectrum
+kernel = ZonalKernel(BETA, D)
 print("\nactive eigenvalues (order, eigenvalue, multiplicity):")
-for k, lam, nu in spec.entries():
+for k, lam in enumerate(kernel.eigenvalues):
     if lam:
-        print(f"  order {k}: lambda = {lam:.6f}, multiplicity {nu}")
-print(f"field variance rho(1) = sum lambda*nu = {spec.total_variance:.6f}")
+        print(f"  order {k}: lambda = {float(lam):.6f}, multiplicity {harmonic_dim(D, k)}")
+print(f"field variance rho(1) = sum lambda*nu = {float(kernel.total_variance):.6f}")
 
 # power 1 sanity: d * max Z^2 is exactly chi-square with d degrees of freedom
 m1 = simulate_kernel_max(1, 3, m=1000, replications=REPS, seed=303)

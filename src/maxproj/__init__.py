@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 
 from ._errors import DataError, InputError, NumericalError
 from .geometry import latlon_to_unit, make_cover, surface_area
-from .kernels import Spectrum, ZonalKernel, funk_hecke_check
+from .kernels import ZonalKernel, funk_hecke_check
 from .legendre import harmonic_dim, legendre_eval, power_expansion, psi
-from .limits import LimitQuantile, limit_quantile, simulate_harmonic_max, simulate_kernel_max
+from .limits import limit_quantile, simulate_harmonic_max, simulate_kernel_max
 from .samplers import (
     Bingham,
     LegendreProfile,
@@ -46,11 +46,9 @@ __all__ = [
     "DataError",
     "InputError",
     "LegendreProfile",
-    "LimitQuantile",
     "MixtureVMF",
     "NumericalError",
     "RunConfig",
-    "Spectrum",
     "Uniform",
     "VonMisesFisher",
     "Watson",

@@ -20,7 +20,6 @@ polynomial; the profile class is exactly linear in kappa.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,6 +50,12 @@ def _check_alt(alt, m):
         raise InputError(f"alternative must be one of {ALTERNATIVES}, got {alt!r}")
     if alt == "lp" and (m is None or m < 1):
         raise InputError("the profile class needs an order m >= 1")
+
+
+def _order(alt, m):
+    """The harmonic order k the alternative class perturbs: 1 (vMF), 2 (Watson) or m."""
+    _check_alt(alt, m)
+    return 1 if alt == "vmf" else 2 if alt == "watson" else m
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +157,9 @@ def gamma_profile(alt, beta, d, kappa, s, m=None):
     else:
         weights = _exponential_weights(beta, d, kappa, even_only=True)
         norm = watson_norm_ratio(d, kappa)
-    coeffs = power_expansion(d, beta).as_floats()
     total = np.zeros_like(s)
-    for j in range(beta + 1):
-        cw = coeffs[j] * weights[j]
+    for j, c in enumerate(power_expansion(d, beta)):
+        cw = float(c) * weights[j]
         if cw:
             total = total + cw * legendre_eval(d, j, s)
     return total / norm - psi_b
@@ -176,58 +180,17 @@ def gamma_shift(alt, beta, d, kappa, cover=None, m=None):
 
 def slope(alt, beta, d, kappa, cover=None, m=None):
     """Approximate Bahadur slope max gamma^2 / sum lambda_j nu_d(j)."""
-    denom = ZonalKernel(beta, d).spectrum.total_variance
+    denom = float(ZonalKernel(beta, d).total_variance)
     return gamma_shift(alt, beta, d, kappa, cover=cover, m=m) / denom
 
 
 def local_are(alt, beta, d, m=None):
     """Closed-form local ARE against the likelihood-ratio test."""
-    _check_alt(alt, m)
-    k = 1 if alt == "vmf" else 2 if alt == "watson" else m
-    spec = ZonalKernel(beta, d).spectrum
+    k = _order(alt, m)
+    kernel = ZonalKernel(beta, d)
     if k > beta:
         return 0.0
-    num = spec.eigenvalues[k] * harmonic_dim(d, k)
-    den = sum(lam * harmonic_dim(d, j) for j, lam in enumerate(spec.eigenvalues))
-    return float(num / den)
-
-
-@dataclass(frozen=True)
-class BahadurReport:
-    """Slope diagnostics of one statistic against one alternative class.
-
-    Carries the kappa grid with the slope and Kullback-Leibler values along
-    it, plus the closed-form local ARE; local_are is 1 exactly for the
-    locally optimal pairings (unipolar/power 1, axial/power 2, profile order
-    m = beta in {1, 2}).
-    """
-
-    alt: str
-    beta: int
-    d: int
-    m: int
-    kappas: tuple
-    slopes: tuple
-    kl_values: tuple
-    local_are: float
-
-
-def bahadur_report(alt, beta, d, kappas=(1e-1, 1e-2, 1e-3), m=None):
-    """Evaluate slope and KL along a kappa grid, with the local ARE."""
-    _check_alt(alt, m)
-    kappas = tuple(float(k) for k in kappas)
-    slopes = tuple(slope(alt, beta, d, k, m=m) for k in kappas)
-    kls = tuple(kl_divergence(alt, d, k, m=m) for k in kappas)
-    return BahadurReport(
-        alt=alt,
-        beta=beta,
-        d=d,
-        m=0 if m is None else int(m),
-        kappas=kappas,
-        slopes=slopes,
-        kl_values=kls,
-        local_are=local_are(alt, beta, d, m=m),
-    )
+    return float(kernel.eigenvalues[k] * harmonic_dim(d, k) / kernel.total_variance)
 
 
 #: the dimensions of the study's efficiency table
@@ -245,7 +208,7 @@ def are_table(dims=STUDY_DIMS):
         (f"LP{m}", "lp", m) for m in range(1, 7)
     ]
     for label, alt, m in specs:
-        k = 1 if alt == "vmf" else 2 if alt == "watson" else m
+        k = _order(alt, m)
         for beta in range(1, 7):
             if k > beta or (beta + k) % 2 == 1:
                 continue

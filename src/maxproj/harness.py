@@ -58,6 +58,11 @@ def default_cover_m(d):
     return 5000 if d <= 3 else 20000
 
 
+def default_limit_cover_m(d):
+    """Limit-field cover sizes of the simulation study: 1000 for d <= 3, 5000 above."""
+    return 1000 if d <= 3 else 5000
+
+
 def evaluate_battery(x, betas, cover_points=None, rng_ca=None, competitors=True):
     """All statistics of the battery on one sample; returns name -> value."""
     n, d = x.shape
@@ -177,7 +182,7 @@ class RunConfig:
     simulation subcommands fills one field, and a field no option sets keeps
     the value written here.  ``cover_m`` and ``null_replications`` also size
     the limit-field simulation of :func:`cmd_limit` and of the ``inf``/``inf*``
-    rows, where ``cover_m=None`` stands for ``limits.default_cover_size(d)``.
+    rows, where ``cover_m=None`` stands for :func:`default_limit_cover_m`.
     """
 
     d: int = 2
@@ -207,6 +212,8 @@ class RunConfig:
                 raise InputError(f"{attr} must be >= 1")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
+        if self.min_diameter is not None and math.isnan(self.min_diameter):
+            raise InputError("min_diameter must be a number, got nan")
         for n in self.n:
             if isinstance(n, str):
                 if n not in LIMIT_TOKENS:
@@ -265,9 +272,7 @@ def cmd_critvals(config):
     rows = []
     for n in config.n:
         if isinstance(n, str):
-            lqs = [_limit_quantile(config, beta, LIMIT_TOKENS[n]) for beta in config.betas]
-            cells = [(f"T{beta}", lq.value, lq.mc_stderr, lq.replications, lq.m)
-                     for beta, lq in zip(config.betas, lqs)]
+            cells = _limit_cells(config, LIMIT_TOKENS[n])
         else:
             n = int(n)
             cells = [(name, critical_value(values, config.alpha, name),
@@ -364,34 +369,26 @@ def cmd_test(config):
     return _with_provenance(rows, config)
 
 
-def _limit_quantile(config, beta, method):
-    return limit_quantile(
-        beta,
-        config.d,
-        alpha=1.0 - config.alpha,
-        method=method,
-        m=config.cover_m,
-        replications=config.null_replications,
-        seed=config.seed,
-    )
+def _limit_cells(config, method):
+    """``(statistic, quantile, mc_stderr, replications, cover_m)`` of each power's limit row.
+
+    The quantile is the ``1 - alpha`` quantile of the limit field's maximum,
+    simulated by ``method`` on a cover of ``cover_m`` directions.
+    """
+    m = config.cover_m if config.cover_m is not None else default_limit_cover_m(config.d)
+    cells = []
+    for beta in config.betas:
+        value, stderr, _ = limit_quantile(beta, config.d, 1.0 - config.alpha, method, m,
+                                          config.null_replications, seed=config.seed)
+        cells.append((f"T{beta}", value, stderr, config.null_replications, m))
+    return cells
 
 
 def cmd_limit(config):
-    rows = []
-    for beta in config.betas:
-        lq = _limit_quantile(config, beta, config.limit_method)
-        rows.append(
-            {
-                "d": config.d,
-                "statistic": f"T{beta}",
-                "alpha": config.alpha,
-                "method": lq.method,
-                "quantile": lq.value,
-                "mc_stderr": lq.mc_stderr,
-                "replications": lq.replications,
-                "cover_m": lq.m,
-            }
-        )
+    rows = [{"d": config.d, "statistic": name, "alpha": config.alpha,
+             "method": config.limit_method, "quantile": value, "mc_stderr": stderr,
+             "replications": replications, "cover_m": m}
+            for name, value, stderr, replications, m in _limit_cells(config, config.limit_method)]
     return _with_provenance(rows, config)
 
 
@@ -425,8 +422,9 @@ def ingest(path, min_diameter=None):
 
     Accepted schemas (by header): ``lat,lon`` in degrees (d = 3), or
     coordinate columns ``x1..xd``.  An optional ``diameter_km`` column
-    supports ``min_diameter`` filtering.  Slightly off-sphere coordinate rows
-    are renormalized and counted; rows that cannot be repaired are skipped.
+    supports ``min_diameter`` filtering, which also drops a row whose diameter
+    is NaN.  Slightly off-sphere coordinate rows are renormalized and counted;
+    rows that cannot be repaired are skipped.
     """
     try:
         fh = open(path, newline="")
@@ -469,7 +467,7 @@ def ingest(path, min_diameter=None):
                 diam = float(row[diam_idx]) if diam_idx is not None else None
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}:{line_no}: cannot parse row: {exc}") from None
-            if min_diameter is not None and diam < min_diameter:
+            if min_diameter is not None and not diam >= min_diameter:  # NaN is filtered
                 report.rows_filtered += 1
                 continue
             raw.append((line_no, vals))

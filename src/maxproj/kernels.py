@@ -24,47 +24,25 @@ from ._errors import InputError
 from .geometry import as_unit_vector, surface_area
 from .legendre import (
     harmonic_dim,
+    horner,
     legendre_eval,
     monomial_coefficients,
+    polynomial_eval,
     power_expansion,
     psi,
 )
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of the kernel's integral operator, order k = 0..beta.
-
-    ``eigenvalues[k]`` is (c_k / nu_d(k))^2 for 0 < k <= beta and 0 for k = 0;
-    entries with k + beta odd vanish.  ``total_variance`` is the on-diagonal
-    kernel value rho(1) = sum_k lambda_k nu_d(k).
-    """
-
-    beta: int
-    d: int
-    eigenvalues: tuple  # Fractions
-
-    def eigenvalue(self, k):
-        return float(self.eigenvalues[k]) if 0 <= k <= self.beta else 0.0
-
-    @property
-    def total_variance(self):
-        exact = sum(
-            lam * harmonic_dim(self.d, k) for k, lam in enumerate(self.eigenvalues)
-        )
-        return float(exact)
-
-    def entries(self):
-        """(k, lambda_k, nu_d(k)) triples for k = 0..beta."""
-        return [
-            (k, float(lam), harmonic_dim(self.d, k))
-            for k, lam in enumerate(self.eigenvalues)
-        ]
-
-
-@dataclass(frozen=True)
 class ZonalKernel:
-    """The covariance kernel pair (beta, d) with spectral evaluators."""
+    """The covariance kernel rho(t) of the order-beta field on S^{d-1}, and its spectrum.
+
+    ``eigenvalues[k]``, k = 0..beta, are the exact (Fraction) eigenvalues
+    (c_k / nu_d(k))^2 of the kernel's integral operator, with c_k the
+    coefficients of :func:`power_expansion`; entries with k + beta odd and
+    k = 0 vanish.  ``total_variance`` is the exact on-diagonal value
+    rho(1) = sum_k lambda_k nu_d(k).
+    """
 
     beta: int
     d: int
@@ -76,66 +54,36 @@ class ZonalKernel:
             raise InputError(f"dimension must be >= 2, got {self.d}")
 
     @cached_property
-    def expansion(self):
-        return power_expansion(self.d, self.beta)
-
-    @cached_property
-    def _eta_weights(self):
-        # weight of P_j in eta: c_j^2 / nu_d(j)
-        return np.array(
-            [
-                float(c * c / harmonic_dim(self.d, j))
-                for j, c in enumerate(self.expansion.coeffs)
-            ]
+    def eigenvalues(self):
+        c = power_expansion(self.d, self.beta)
+        return (Fraction(0),) + tuple(
+            (c[k] / harmonic_dim(self.d, k)) ** 2 for k in range(1, self.beta + 1)
         )
 
     @cached_property
+    def total_variance(self):
+        return sum(lam * harmonic_dim(self.d, k) for k, lam in enumerate(self.eigenvalues))
+
+    @cached_property
     def _rho_monomial(self):
-        # dense monomial coefficients of rho as a polynomial in t
+        # dense monomial coefficients of rho = sum_j (c_j^2 / nu_d(j)) P_j - psi^2
         coeffs = np.zeros(self.beta + 1)
-        for j, w in enumerate(self._eta_weights):
+        for j, c in enumerate(power_expansion(self.d, self.beta)):
+            w = float(c * c / harmonic_dim(self.d, j))
             if w:
-                mono = monomial_coefficients(self.d, j)
-                for i, a in enumerate(mono):
+                for i, a in enumerate(monomial_coefficients(self.d, j)):
                     coeffs[i] += w * float(a)
         coeffs[0] -= psi(self.d, self.beta) ** 2
         return coeffs
 
-    def eta(self, t):
-        """Raw product moment E (b.U)^beta (c.U)^beta at t = b.c."""
-        t = np.asarray(t, dtype=float)
-        if np.any(np.abs(t) > 1.0 + 1e-12):
-            raise InputError("argument outside [-1, 1]")
-        out = np.zeros_like(t, dtype=float)
-        for j, w in enumerate(self._eta_weights):
-            if w:
-                out = out + w * legendre_eval(self.d, j, t)
-        return out if out.ndim else float(out)
-
     def rho(self, t):
-        """Covariance kernel eta(t) - psi^2."""
-        return self.eta(t) - psi(self.d, self.beta) ** 2
+        """Covariance kernel E (b.U)^beta (c.U)^beta - psi^2 at t = b.c in [-1, 1]."""
+        return polynomial_eval(self._rho_monomial, t)
 
     def gram(self, points):
         """Covariance matrix [rho(b_i . b_j)] for an (m, d) array of directions."""
         pts = np.asarray(points, dtype=float)
-        s = np.clip(pts @ pts.T, -1.0, 1.0)
-        coeffs = self._rho_monomial
-        out = np.full_like(s, coeffs[-1])
-        for a in coeffs[-2::-1]:
-            out = out * s + a
-        return out
-
-    @cached_property
-    def spectrum(self):
-        lams = []
-        for k in range(self.beta + 1):
-            if k == 0:
-                lams.append(Fraction(0))
-            else:
-                ck = self.expansion.coeff(k)
-                lams.append((ck / harmonic_dim(self.d, k)) ** 2)
-        return Spectrum(beta=self.beta, d=self.d, eigenvalues=tuple(lams))
+        return horner(self._rho_monomial, np.clip(pts @ pts.T, -1.0, 1.0))
 
 
 def shift_amplitude_exact(beta, d, m):
@@ -148,7 +96,7 @@ def shift_amplitude_exact(beta, d, m):
         raise InputError(f"order must be >= 0, got {m}")
     if m > beta or (beta + m) % 2 == 1:
         return Fraction(0)
-    return power_expansion(d, beta).coeff(m) / harmonic_dim(d, m)
+    return power_expansion(d, beta)[m] / harmonic_dim(d, m)
 
 
 def shift_value(beta, d, m, theta, b):

@@ -13,6 +13,7 @@ Key objects
 -----------
 ``monomial_coefficients(d, k)``  exact coefficients of P_k
 ``power_expansion(d, m)``        exact coefficients of t^m = sum_j c_j P_j
+``polynomial_eval(coeffs, t)``   Horner evaluation of float monomial coefficients
 ``psi(d, beta)``                 moment of a fixed projection of a uniform
                                  direction, E (b.U)^beta
 ``harmonic_dim(d, k)``           dimension of the order-k spherical-harmonic
@@ -22,7 +23,6 @@ Key objects
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -82,38 +82,34 @@ def _monomial_floats(d, k):
     return np.array([float(a) for a in monomial_coefficients(d, k)])
 
 
-def legendre_eval(d, k, t):
-    """Evaluate P_k on scalars or arrays; the domain is [-1, 1]."""
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-12):
-        raise InputError("argument outside [-1, 1]")
-    coeffs = _monomial_floats(d, k)
+def horner(coeffs, t):
+    """sum_i coeffs[i] t^i at a float array ``t``, by Horner's rule; no domain check."""
     out = np.full_like(t, coeffs[-1], dtype=float)
     for a in coeffs[-2::-1]:
         out = out * t + a
+    return out
+
+
+def polynomial_eval(coeffs, t):
+    """Float monomial coefficients ``coeffs`` evaluated on scalars or arrays in [-1, 1]."""
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0 + 1e-12):
+        raise InputError("argument outside [-1, 1]")
+    out = horner(coeffs, t)
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class PowerExpansion:
-    """Exact coefficients c_j with t^m = sum_{j=0}^m c_j P_j(t)."""
-
-    d: int
-    m: int
-    coeffs: tuple  # Fractions, index j = 0..m
-
-    def coeff(self, j):
-        return self.coeffs[j] if 0 <= j <= self.m else Fraction(0)
-
-    def as_floats(self):
-        return np.array([float(c) for c in self.coeffs])
+def legendre_eval(d, k, t):
+    """Evaluate P_k on scalars or arrays; the domain is [-1, 1]."""
+    return polynomial_eval(_monomial_floats(d, k), t)
 
 
 @lru_cache(maxsize=None)
 def power_expansion(d, m):
-    """Expand t^m in the Legendre basis by an exact triangular solve.
+    """Exact coefficients c_j, j = 0..m, of t^m = sum_j c_j P_j(t), as a tuple of Fractions.
 
-    The coefficients vanish whenever j+m is odd, and c_0 equals psi_d(m).
+    Found by an exact triangular solve.  The coefficients vanish whenever
+    j+m is odd, and c_0 equals psi_d(m).
     """
     if m < 0:
         raise InputError(f"power must be >= 0, got {m}")
@@ -129,7 +125,7 @@ def power_expansion(d, m):
         c[j] = cj
     if any(residual):
         raise NumericalError("triangular solve left a nonzero residual")
-    return PowerExpansion(d=d, m=m, coeffs=tuple(c))
+    return tuple(c)
 
 
 def psi_exact(d, beta):
@@ -163,7 +159,7 @@ def check_expansion_nonnegative():
     violations = []
     for d in range(2, 26):
         for m in range(MAX_ORDER + 1):
-            for j, cj in enumerate(power_expansion(d, m).coeffs):
+            for j, cj in enumerate(power_expansion(d, m)):
                 if cj < 0:
                     violations.append((d, m, j, cj))
     return violations

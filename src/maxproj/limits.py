@@ -19,7 +19,6 @@ built once and reused across replications, whose maxima are then iid.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,59 +41,35 @@ _BOOTSTRAP = 200
 _BOOTSTRAP_BLOCK = 25
 
 
-def default_cover_size(d):
-    """Cover sizes mirroring the simulation study (1000 low-d, 5000 high-d)."""
-    return 1000 if d <= 3 else 5000
-
-
-def default_replications(d):
-    return 100_000 if d <= 3 else 10_000
-
-
 # ---------------------------------------------------------------------------
 # harmonic bases for d in {2, 3}
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """Real spherical harmonics, orthonormal w.r.t. the surface measure.
+def harmonic_basis(d, orders, points):
+    """Real spherical harmonics of the given orders at ``points``, for d in {2, 3}.
 
-    ``orders[i]`` gives the order of column i of ``evaluate``; the addition
-    identity sum_j phi_kj(u) phi_kj(v) = nu_d(k)/|S^{d-1}| P_k(u.v) holds per
-    order.
+    Returns the ``(len(points), sum nu_d(k))`` basis matrix, orthonormal
+    w.r.t. the surface measure, with the nu_d(k) columns of each order k in
+    the order of ``orders``.  The addition identity sum_j phi_kj(u) phi_kj(v)
+    = nu_d(k)/|S^{d-1}| P_k(u.v) holds per order.
     """
+    if d not in (2, 3):
+        raise InputError("harmonic bases implemented for d in {2, 3} only")
+    if any(k < 0 for k in orders):
+        raise InputError("orders must be >= 0")
+    pts = np.asarray(points, dtype=float)
+    blocks = [_circle_block(k, pts) if d == 2 else _real_sph_harm_block(k, pts)
+              for k in orders]
+    return np.hstack(blocks) if blocks else np.empty((pts.shape[0], 0))
 
-    d: int
-    orders: tuple
 
-    def __post_init__(self):
-        if self.d not in (2, 3):
-            raise InputError("harmonic bases implemented for d in {2, 3} only")
-        if any(k < 0 for k in self.orders):
-            raise InputError("orders must be >= 0")
-
-    @property
-    def column_orders(self):
-        cols = []
-        for k in self.orders:
-            cols.extend([k] * harmonic_dim(self.d, k))
-        return tuple(cols)
-
-    def evaluate(self, points):
-        """Basis matrix of shape (len(points), total dimension)."""
-        pts = np.asarray(points, dtype=float)
-        blocks = [self._block(k, pts) for k in self.orders]
-        return np.hstack(blocks) if blocks else np.empty((pts.shape[0], 0))
-
-    def _block(self, k, pts):
-        area = surface_area(self.d)
-        if self.d == 2:
-            if k == 0:
-                return np.full((pts.shape[0], 1), 1.0 / math.sqrt(area))
-            phi = np.arctan2(pts[:, 1], pts[:, 0])
-            scale = 1.0 / math.sqrt(math.pi)
-            return np.column_stack([scale * np.cos(k * phi), scale * np.sin(k * phi)])
-        return _real_sph_harm_block(k, pts)
+def _circle_block(k, pts):
+    """Fourier basis of order k on S^1, orthonormal w.r.t. arc length."""
+    if k == 0:
+        return np.full((pts.shape[0], 1), 1.0 / math.sqrt(surface_area(2)))
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    scale = 1.0 / math.sqrt(math.pi)
+    return np.column_stack([scale * np.cos(k * phi), scale * np.sin(k * phi)])
 
 
 def _real_sph_harm_block(l, pts):
@@ -122,14 +97,6 @@ def _real_sph_harm_block(l, pts):
     return np.column_stack(cols)
 
 
-def field_basis(beta, d):
-    """Basis restricted to the active orders of the order-beta field."""
-    if beta > MAX_HARMONIC_BETA:
-        raise InputError(f"harmonic route implemented for beta <= {MAX_HARMONIC_BETA}")
-    orders = tuple(k for k in range(1, beta + 1) if (beta - k) % 2 == 0)
-    return HarmonicBasis(d=d, orders=orders)
-
-
 # ---------------------------------------------------------------------------
 # simulation routes
 
@@ -151,10 +118,9 @@ def _batched_max_square(transfer, replications, rng):
     return out
 
 
-def simulate_kernel_max(beta, d, m=None, replications=None, seed=0):
-    """Maxima of the squared field over a cover, via the covariance route."""
-    m = default_cover_size(d) if m is None else int(m)
-    replications = default_replications(d) if replications is None else int(replications)
+def simulate_kernel_max(beta, d, m, replications, seed=0):
+    """Maxima of the squared field over a cover of ``m`` directions, via the covariance route."""
+    m, replications = int(m), int(replications)
     if m < d:
         raise InputError(f"cover size {m} must be at least d = {d}")
     cover = uniform_points(d, m, stream(seed, NS_LIMIT, 0))
@@ -172,40 +138,29 @@ def simulate_kernel_max(beta, d, m=None, replications=None, seed=0):
     return _batched_max_square(transfer, replications, rng)
 
 
-def simulate_harmonic_max(beta, d, m=None, replications=None, seed=0):
-    """Maxima of the squared field via its spherical-harmonics expansion."""
+def simulate_harmonic_max(beta, d, m, replications, seed=0):
+    """Maxima of the squared field over a cover of ``m`` directions, via its harmonics expansion.
+
+    The field is sum_k sqrt(|S^{d-1}| lambda_k) sum_j xi_kj phi_kj over the
+    orders k with a nonzero eigenvalue lambda_k, with iid standard normal xi.
+    """
     if d not in (2, 3):
         raise InputError("harmonic route implemented for d in {2, 3}; use the kernel route")
-    m = default_cover_size(d) if m is None else int(m)
-    replications = default_replications(d) if replications is None else int(replications)
-    basis = field_basis(beta, d)
-    cover = uniform_points(d, m, stream(seed, NS_LIMIT, 0))
-    phi = basis.evaluate(cover)
-    spec = ZonalKernel(beta, d).spectrum
-    scale = np.array(
-        [math.sqrt(surface_area(d) * spec.eigenvalue(k)) for k in basis.column_orders]
-    )
+    if beta > MAX_HARMONIC_BETA:
+        raise InputError(f"harmonic route implemented for beta <= {MAX_HARMONIC_BETA}")
+    eigenvalues = ZonalKernel(beta, d).eigenvalues
+    orders = [k for k, lam in enumerate(eigenvalues) if lam]
+    cover = uniform_points(d, int(m), stream(seed, NS_LIMIT, 0))
+    phi = harmonic_basis(d, orders, cover)
+    scale = np.array([math.sqrt(surface_area(d) * float(eigenvalues[k]))
+                      for k in orders for _ in range(harmonic_dim(d, k))])
     transfer = phi * scale[None, :]
     rng = stream(seed, NS_LIMIT, 1)
-    return _batched_max_square(transfer, replications, rng)
+    return _batched_max_square(transfer, int(replications), rng)
 
 
 # ---------------------------------------------------------------------------
 # quantiles
-
-
-@dataclass(frozen=True)
-class LimitQuantile:
-    beta: int
-    d: int
-    alpha: float
-    method: str
-    m: int
-    replications: int
-    seed: int
-    value: float
-    mc_stderr: float
-    maxima: np.ndarray = field(repr=False, default=None)
 
 
 def quantile_stderr(values, alpha, seed=0):
@@ -222,30 +177,21 @@ def quantile_stderr(values, alpha, seed=0):
     return float(reps.std(ddof=1))
 
 
-def limit_quantile(beta, d, alpha=0.95, method="kernel", m=None, replications=None, seed=0):
-    """Empirical alpha-quantile of the simulated limit maxima.
+def limit_quantile(beta, d, alpha, method, m, replications, seed=0):
+    """Empirical alpha-quantile of ``replications`` simulated limit maxima on an ``m``-cover.
 
-    ``alpha`` is the quantile level, 0 and 1 included: a test at a level below
-    about 1.1e-16 asks for the level 1.0, because 1.0 - level rounds to 1.0.
+    Returns ``(value, mc_stderr, maxima)``: the quantile, its bootstrap
+    standard error and the simulated maxima.  ``alpha`` is the quantile
+    level, 0 and 1 included: a test at a level below about 1.1e-16 asks for
+    the level 1.0, because 1.0 - level rounds to 1.0.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"quantile level must lie in [0, 1], got {alpha}")
     if method == "kernel":
-        maxima = simulate_kernel_max(beta, d, m=m, replications=replications, seed=seed)
+        maxima = simulate_kernel_max(beta, d, m, replications, seed=seed)
     elif method == "harmonic":
-        maxima = simulate_harmonic_max(beta, d, m=m, replications=replications, seed=seed)
+        maxima = simulate_harmonic_max(beta, d, m, replications, seed=seed)
     else:
         raise InputError(f"unknown method {method!r}; expected 'kernel' or 'harmonic'")
     value = float(np.quantile(maxima, alpha))
-    return LimitQuantile(
-        beta=beta,
-        d=d,
-        alpha=alpha,
-        method=method,
-        m=default_cover_size(d) if m is None else int(m),
-        replications=maxima.shape[0],
-        seed=int(seed),
-        value=value,
-        mc_stderr=quantile_stderr(maxima, alpha, seed=seed),
-        maxima=maxima,
-    )
+    return value, quantile_stderr(maxima, alpha, seed=seed), maxima

@@ -427,43 +427,52 @@ def _a2(d):
     return out
 
 
+#: preset -> (required keys, optional keys with their defaults, builder of the
+#: spec from the dimension and the full parameter dict)
+PRESETS = {
+    "uniform": ((), {}, lambda d, kw: Uniform(d)),
+    "vmf1": (("kappa",), {}, lambda d, kw: VonMisesFisher(_theta1(d), kw["kappa"])),
+    "mixvmf1": (("p",), {"k1": 1.0, "k2": 1.0}, lambda d, kw: two_center_mix(
+        kw["p"], -_theta1(d), _theta1(d), kw["k1"], kw["k2"])),
+    "mixvmf2": (("p",), {"k1": 1.0, "k2": 4.0}, lambda d, kw: two_center_mix(
+        kw["p"], -_theta1(d), _theta1(d), kw["k1"], kw["k2"])),
+    "mixvmf3": (("p",), {"k1": 2.0, "k2": 3.0, "k3": 3.0}, lambda d, kw: three_center_mix(
+        kw["p"], _theta2(d), _theta3(d), _theta1(d), kw["k1"], kw["k2"], kw["k3"])),
+    "mixvmf4": (("p",), {"k1": 2.0, "k2": 3.0, "k3": 4.0}, lambda d, kw: three_center_mix(
+        kw["p"], _theta2(d), _theta3(d), _theta1(d), kw["k1"], kw["k2"], kw["k3"])),
+    "bing1": (("kappa",), {}, lambda d, kw: Bingham(kw["kappa"] * _a1(d))),
+    "bing2": (("kappa",), {}, lambda d, kw: Bingham(kw["kappa"] * _a2(d))),
+    "lp": (("m", "kappa"), {}, lambda d, kw: LegendreProfile(
+        int(kw["m"]), _theta1(d), kw["kappa"])),
+}
+
+
 def preset(name, d, **params):
     """Named alternatives of the simulation study.
 
     vmf1(kappa); mixvmf1(p)/mixvmf2(p) with antipodal centers;
     mixvmf3(p)/mixvmf4(p) with three centers; bing1(kappa)/bing2(kappa);
-    lp(m, kappa); uniform.
+    lp(m, kappa); uniform.  :data:`PRESETS` lists each one's required and
+    optional keys.  A missing or unknown key, a non-finite value or a
+    non-integer ``m`` raises :class:`InputError`.
     """
     name = name.lower()
-    if name == "uniform":
-        return Uniform(d)
-    if name == "vmf1":
-        return VonMisesFisher(_theta1(d), params["kappa"])
-    if name == "mixvmf1":
-        return two_center_mix(
-            params["p"], -_theta1(d), _theta1(d), params.get("k1", 1.0), params.get("k2", 1.0)
-        )
-    if name == "mixvmf2":
-        return two_center_mix(
-            params["p"], -_theta1(d), _theta1(d), params.get("k1", 1.0), params.get("k2", 4.0)
-        )
-    if name == "mixvmf3":
-        return three_center_mix(
-            params["p"], _theta2(d), _theta3(d), _theta1(d),
-            params.get("k1", 2.0), params.get("k2", 3.0), params.get("k3", 3.0),
-        )
-    if name == "mixvmf4":
-        return three_center_mix(
-            params["p"], _theta2(d), _theta3(d), _theta1(d),
-            params.get("k1", 2.0), params.get("k2", 3.0), params.get("k3", 4.0),
-        )
-    if name == "bing1":
-        return Bingham(params["kappa"] * _a1(d))
-    if name == "bing2":
-        return Bingham(params["kappa"] * _a2(d))
-    if name == "lp":
-        return LegendreProfile(int(params["m"]), _theta1(d), params["kappa"])
-    raise InputError(f"unknown alternative preset {name!r}")
+    if name not in PRESETS:
+        raise InputError(f"unknown alternative preset {name!r}")
+    required, optional, build = PRESETS[name]
+    keys = (*required, *optional)
+    for key, value in params.items():
+        if key not in keys:
+            raise InputError(f"preset {name!r} takes {', '.join(keys) or 'no parameters'}, "
+                             f"not {key!r}")
+        if not math.isfinite(value):
+            raise InputError(f"preset {name!r}: {key}={value} is not finite")
+    for key in required:
+        if key not in params:
+            raise InputError(f"preset {name!r} needs the parameter {key!r}")
+    if name == "lp" and params["m"] != int(params["m"]):
+        raise InputError(f"preset 'lp': the order m must be an integer, got {params['m']}")
+    return build(d, {**optional, **params})
 
 
 def parse_alternative(text, d):

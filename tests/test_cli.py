@@ -237,6 +237,25 @@ def test_negative_seed_or_size_is_a_usage_error(args, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("spec", [
+    "vmf",  # missing key
+    "lp:kappa=1",
+    "vmf:kapa=1",  # unknown key
+    "mixvmf2:p=0.5,k9=3",
+    "lp:m=nan,kappa=1",  # non-finite value
+    "vmf:kappa=nan",
+    "vmf:kappa=inf",
+    "bing1:kappa=nan",
+    "lp:m=2.5,kappa=1",  # non-integer order
+])
+def test_bad_alternative_spec_is_a_usage_error(spec):
+    proc = run_module(["power", "--d", "3", "--n", "30", "--reps", "10", "--power-reps", "10",
+                       "--alt", spec])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("maxproj: error: preset")
+
+
 def test_unwritable_out_path_is_a_usage_error(tmp_path):
     proc = run_module(["bahadur", "--d", "2", "--out", str(tmp_path / "missing" / "x.csv")])
     assert proc.returncode == 1

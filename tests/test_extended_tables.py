@@ -16,6 +16,7 @@ from conftest import SEED_NULL, SEED_POWER, WORKERS
 from maxproj.harness import (
     RunConfig,
     critical_value,
+    default_limit_cover_m,
     rejection_rates,
     run_replications,
     simulate_null,
@@ -55,11 +56,13 @@ def test_limit_rows(d):
     # cover-resolution bias that grows with d; widen the band accordingly
     targets = TABLE1[d]["inf"]
     band = 0.05 if d <= 3 else 0.12
-    maxima = simulate_kernel_max(1, d, replications=None, m=None, seed=SEED_NULL)
+    # the study's limit-field sizes
+    m, reps = default_limit_cover_m(d), 100_000 if d <= 3 else 10_000
+    maxima = simulate_kernel_max(1, d, m, reps, seed=SEED_NULL)
     q = float(np.quantile(maxima, 0.95))
     assert abs(q - targets[0]) <= band
     for beta, target in zip(BETAS[1:], targets[1:]):
-        maxima = simulate_kernel_max(beta, d, replications=None, m=None, seed=SEED_NULL)
+        maxima = simulate_kernel_max(beta, d, m, reps, seed=SEED_NULL)
         q = float(np.quantile(maxima, 0.95))
         assert abs(q - target) <= band, f"d={d} beta={beta}: {q:.3f} vs {target}"
 

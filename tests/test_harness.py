@@ -59,6 +59,7 @@ def test_negative_seed_is_an_input_error():
     (dict(d=1), "dimension must be >= 2"),
     (dict(d=-3), "dimension must be >= 2"),
     (dict(cover_m=0), "cover_m must be >= 1"),
+    (dict(min_diameter=float("nan")), "min_diameter must be a number"),
 ])
 def test_dimension_and_cover_size_are_checked_up_front(bad, message):
     with pytest.raises(InputError, match=message):
@@ -259,9 +260,9 @@ def test_ingest_skips_non_finite_rows(tmp_path):
 
 def test_ingest_diameter_filter(tmp_path):
     p = tmp_path / "craters.csv"
-    p.write_text("lat,lon,diameter_km\n10,20,200\n-5,40,100\n0,0,151\n")
+    p.write_text("lat,lon,diameter_km\n10,20,200\n-5,40,100\n0,0,151\n3,4,nan\n")
     x, report = ingest(p, min_diameter=150.0)
-    assert report.rows_filtered == 1
+    assert report.rows_filtered == 2  # 100 and nan
     assert x.shape[0] == 2
 
 

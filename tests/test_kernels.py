@@ -12,8 +12,8 @@ from maxproj.kernels import (
     shift_amplitude_exact,
     shift_value,
 )
-from maxproj.legendre import harmonic_dim, legendre_eval
-from maxproj.limits import field_basis
+from maxproj.legendre import harmonic_dim, legendre_eval, power_expansion, psi
+from maxproj.limits import harmonic_basis
 from maxproj.rng import stream
 
 DIMS = (2, 3, 5, 10)
@@ -63,36 +63,43 @@ def test_rho_matches_closed_forms():
 
 
 def test_eta_examples():
+    # the raw product moment eta(t) = E (b.U)^beta (c.U)^beta is rho(t) + psi^2
     k = ZonalKernel(1, 5)
     t = np.linspace(-1, 1, 11)
-    np.testing.assert_allclose(k.eta(t), t / 5.0, atol=1e-15)
+    np.testing.assert_allclose(k.rho(t) + psi(5, 1) ** 2, t / 5.0, atol=1e-15)
     # at t = 1 every polynomial equals one
     k6 = ZonalKernel(6, 3)
-    weights = sum(float(c * c) / harmonic_dim(3, j) for j, c in enumerate(k6.expansion.coeffs))
-    assert k6.eta(1.0) == pytest.approx(weights, abs=1e-14)
+    weights = sum(float(c * c) / harmonic_dim(3, j) for j, c in enumerate(power_expansion(3, 6)))
+    assert k6.rho(1.0) + psi(3, 6) ** 2 == pytest.approx(weights, abs=1e-14)
     # beta=2, d=3: eta(0) = rho(0) + psi^2 = 1/15
-    assert ZonalKernel(2, 3).eta(0.0) == pytest.approx(1.0 / 15.0, abs=1e-14)
+    assert ZonalKernel(2, 3).rho(0.0) + psi(3, 2) ** 2 == pytest.approx(1.0 / 15.0, abs=1e-14)
+    with pytest.raises(InputError):
+        k.rho(1.5)
 
 
 def test_spectrum_matches_closed_lists():
     for beta in range(1, 7):
         for d in DIMS:
-            spec = ZonalKernel(beta, d).spectrum
+            eigenvalues = ZonalKernel(beta, d).eigenvalues
             closed = eigenvalues_closed(beta, d)
+            assert len(eigenvalues) == beta + 1
             for k in range(beta + 1):
-                assert spec.eigenvalue(k) == pytest.approx(closed.get(k, 0.0), abs=1e-14)
-            assert spec.eigenvalue(0) == 0.0
+                assert float(eigenvalues[k]) == pytest.approx(closed.get(k, 0.0), abs=1e-14)
+            assert eigenvalues[0] == 0
 
 
 def test_spectrum_trace_identity():
     for beta in range(1, 7):
         for d in DIMS:
             kern = ZonalKernel(beta, d)
-            assert kern.rho(1.0) == pytest.approx(kern.spectrum.total_variance, abs=1e-12)
+            assert kern.rho(1.0) == pytest.approx(float(kern.total_variance), abs=1e-12)
+            assert kern.total_variance == sum(
+                lam * harmonic_dim(d, k) for k, lam in enumerate(kern.eigenvalues)
+            )
 
 
 def test_spectrum_beta2_d3_value():
-    assert ZonalKernel(2, 3).spectrum.eigenvalue(2) == pytest.approx((2.0 / 15.0) ** 2, abs=1e-15)
+    assert ZonalKernel(2, 3).eigenvalues[2] == Fraction(2, 15) ** 2
 
 
 def test_kernel_bounded_and_zonal():
@@ -122,10 +129,11 @@ def test_mercer_reconstruction(d):
     # |S| sum_k lam_k sum_j phi_kj(b) phi_kj(c) = rho(b . c)
     for beta in (1, 2, 3, 6):
         kern = ZonalKernel(beta, d)
-        basis = field_basis(beta, d)
+        orders = range(beta + 1)
         pts = uniform_points(d, 12, stream(7, beta, d))
-        phi = basis.evaluate(pts)
-        lam = np.array([kern.spectrum.eigenvalue(k) for k in basis.column_orders])
+        phi = harmonic_basis(d, orders, pts)
+        lam = np.array([float(kern.eigenvalues[k]) for k in orders
+                        for _ in range(harmonic_dim(d, k))])
         lhs = surface_area(d) * (phi * lam) @ phi.T
         rhs = kern.gram(pts)
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)

@@ -145,21 +145,21 @@ def test_domain_error_outside_interval():
 def test_power_expansion_tabled_cases():
     for d in DIMS:
         e3 = power_expansion(d, 3)
-        assert e3.coeff(3) == Fraction(d - 1, d + 2)
-        assert e3.coeff(1) == Fraction(3, d + 2)
-        assert e3.coeff(0) == 0 and e3.coeff(2) == 0
+        assert e3[3] == Fraction(d - 1, d + 2)
+        assert e3[1] == Fraction(3, d + 2)
+        assert e3[0] == 0 and e3[2] == 0
         e2 = power_expansion(d, 2)
-        assert e2.coeff(2) == Fraction(d - 1, d)
-        assert e2.coeff(0) == Fraction(1, d)
-    assert power_expansion(7, 0).coeffs == (Fraction(1),)
+        assert e2[2] == Fraction(d - 1, d)
+        assert e2[0] == Fraction(1, d)
+    assert power_expansion(7, 0) == (Fraction(1),)
 
 
 def test_power_expansion_parity_and_psi():
     for d in DIMS:
         for m in range(13):
             exp = power_expansion(d, m)
-            assert exp.coeff(0) == psi_exact(d, m)
-            for j, c in enumerate(exp.coeffs):
+            assert exp[0] == psi_exact(d, m)
+            for j, c in enumerate(exp):
                 if (j + m) % 2 == 1:
                     assert c == 0
 
@@ -169,7 +169,7 @@ def test_power_expansion_matches_nested_sums():
         for k in range(7):
             exp = power_expansion(d, k)
             for l in range(k // 2 + 1):
-                assert exp.coeff(k - 2 * l) == _power_coeff_nested(d, k, l)
+                assert exp[k - 2 * l] == _power_coeff_nested(d, k, l)
 
 
 def test_reconstruction_identity_on_grid():
@@ -177,7 +177,7 @@ def test_reconstruction_identity_on_grid():
     for d in DIMS:
         for m in range(9):
             total = np.zeros_like(t)
-            for j, c in enumerate(power_expansion(d, m).coeffs):
+            for j, c in enumerate(power_expansion(d, m)):
                 if c:
                     total += float(c) * legendre_eval(d, j, t)
             np.testing.assert_allclose(total, t**m, atol=1e-12)
@@ -188,7 +188,7 @@ def test_reconstruction_identity_exact_at_rational_points():
         for m in range(9):
             for t in (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(1)):
                 total = Fraction(0)
-                for j, c in enumerate(power_expansion(d, m).coeffs):
+                for j, c in enumerate(power_expansion(d, m)):
                     if c:
                         poly = monomial_coefficients(d, j)
                         total += c * sum(a * t**i for i, a in enumerate(poly))

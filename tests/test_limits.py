@@ -7,9 +7,9 @@ from scipy import stats
 from maxproj import InputError
 from maxproj.geometry import surface_area, uniform_points
 from maxproj.kernels import ZonalKernel, sphere_quadrature
+from maxproj.legendre import harmonic_dim, legendre_eval
 from maxproj.limits import (
-    HarmonicBasis,
-    field_basis,
+    harmonic_basis,
     limit_quantile,
     quantile_stderr,
     simulate_harmonic_max,
@@ -22,7 +22,7 @@ def test_cover_covariance_diagonal_is_total_variance():
     kern = ZonalKernel(4, 3)
     pts = uniform_points(3, 50, stream(61))
     sigma = kern.gram(pts)
-    np.testing.assert_allclose(np.diag(sigma), kern.spectrum.total_variance, atol=1e-12)
+    np.testing.assert_allclose(np.diag(sigma), float(kern.total_variance), atol=1e-12)
 
 
 def test_eigen_clipping_perturbation_is_rounding_noise():
@@ -45,18 +45,16 @@ def test_kernel_route_rank_matches_active_harmonics():
 
 @pytest.mark.parametrize("d", (2, 3))
 def test_harmonic_basis_orthonormal_and_addition(d):
-    basis = HarmonicBasis(d=d, orders=tuple(range(0, 7)))
+    orders = range(7)
     pts, w = sphere_quadrature(d)
-    phi = basis.evaluate(pts)
+    phi = harmonic_basis(d, orders, pts)
     gram = (phi * w[:, None]).T @ phi
     np.testing.assert_allclose(gram, np.eye(phi.shape[1]), atol=1e-8)
     # addition identity per order on random pairs
     u = uniform_points(d, 6, stream(64, d, 0))
     v = uniform_points(d, 6, stream(64, d, 1))
-    pu, pv = basis.evaluate(u), basis.evaluate(v)
-    orders = np.array(basis.column_orders)
-    from maxproj.legendre import harmonic_dim, legendre_eval
-
+    pu, pv = harmonic_basis(d, orders, u), harmonic_basis(d, orders, v)
+    orders = np.repeat(orders, [harmonic_dim(d, k) for k in orders])
     for k in range(7):
         cols = orders == k
         lhs = (pu[:, cols] * pv[:, cols]).sum(axis=1)
@@ -67,28 +65,29 @@ def test_harmonic_basis_orthonormal_and_addition(d):
 
 
 def test_field_basis_orders_follow_parity():
-    assert field_basis(5, 2).orders == (1, 3, 5)
-    assert field_basis(4, 3).orders == (2, 4)
+    # the field's active orders, those of the nonzero eigenvalues, share beta's parity
+    for beta, d, active in ((5, 2, [1, 3, 5]), (4, 3, [2, 4]), (6, 3, [2, 4, 6])):
+        assert [k for k, lam in enumerate(ZonalKernel(beta, d).eigenvalues) if lam] == active
+    assert harmonic_basis(2, (1, 3, 5), np.eye(2)).shape == (2, 6)
     with pytest.raises(InputError):
-        field_basis(7, 2)
+        simulate_harmonic_max(7, 2, m=10, replications=10)
     with pytest.raises(InputError):
-        HarmonicBasis(d=5, orders=(1,))
+        harmonic_basis(5, (1,), np.eye(5))
 
 
 def test_harmonic_field_variance_matches_kernel_diagonal():
     # empirical Var Z(b) at fixed points vs rho(1) = sum lambda nu
     beta, d, reps = 2, 3, 20_000
-    basis = field_basis(beta, d)
+    kern = ZonalKernel(beta, d)
+    orders = (2,)
     pts = uniform_points(d, 5, stream(65))
-    phi = basis.evaluate(pts)
-    spec = ZonalKernel(beta, d).spectrum
-    scale = np.array(
-        [math.sqrt(surface_area(d) * spec.eigenvalue(k)) for k in basis.column_orders]
-    )
+    phi = harmonic_basis(d, orders, pts)
+    scale = np.array([math.sqrt(surface_area(d) * float(kern.eigenvalues[k]))
+                      for k in orders for _ in range(harmonic_dim(d, k))])
     coeff = stream(66).standard_normal((phi.shape[1], reps))
     z = (phi * scale) @ coeff
     var = z.var(axis=1, ddof=1)
-    target = spec.total_variance
+    target = float(kern.total_variance)
     se = target * math.sqrt(2.0 / (reps - 1))
     assert np.all(np.abs(var - target) <= 3.0 * se)
 
@@ -128,15 +127,16 @@ def test_quantile_stderr_matches_the_one_resample_loop(n, alpha):
 
 
 def test_limit_quantile_monotone_and_bounded():
-    lq50 = limit_quantile(2, 3, alpha=0.5, m=400, replications=20_000, seed=70)
-    lq95 = limit_quantile(2, 3, alpha=0.95, m=400, replications=20_000, seed=70)
-    assert 0.0 < lq50.value < lq95.value
+    q50, _, _ = limit_quantile(2, 3, 0.5, "kernel", m=400, replications=20_000, seed=70)
+    q95, stderr95, maxima = limit_quantile(2, 3, 0.95, "kernel", m=400, replications=20_000,
+                                           seed=70)
+    assert 0.0 < q50 < q95
     # chi-square upper envelope for beta = 2: 2(d-1)/(d^2 (d+2)) chi2_{nu_d(2)}
     d = 3
     bound = 2 * (d - 1) / (d * d * (d + 2)) * stats.chi2(df=5).ppf(0.95)
-    assert lq95.value <= bound
-    assert lq95.mc_stderr > 0
-    assert lq95.replications == 20_000
+    assert q95 <= bound
+    assert stderr95 > 0
+    assert maxima.shape == (20_000,)
 
 
 def test_simulation_is_reproducible():
@@ -155,8 +155,8 @@ def test_harmonic_route_rejects_high_dimension():
 
 def test_limit_quantile_input_validation():
     with pytest.raises(InputError):
-        limit_quantile(1, 2, alpha=1.2)
+        limit_quantile(1, 2, 1.2, "kernel", m=50, replications=10)
     with pytest.raises(InputError):
-        limit_quantile(1, 2, method="nope", m=50, replications=10)
-    top = limit_quantile(1, 2, alpha=1.0, m=50, replications=10)
-    assert top.value == top.maxima.max()
+        limit_quantile(1, 2, 0.95, "nope", m=50, replications=10)
+    top, _, maxima = limit_quantile(1, 2, 1.0, "kernel", m=50, replications=10)
+    assert top == maxima.max()
