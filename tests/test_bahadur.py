@@ -120,12 +120,20 @@ def test_local_are_known_values():
     assert local_are("vmf", 1, 7) == 1.0
     assert local_are("watson", 2, 4) == 1.0
     assert local_are("lp", 4, 3, m=2) == pytest.approx(0.92, abs=0.005)
-    # slope/(2 KL) approaches the local ARE along a shrinking kappa grid
+
+
+def test_bahadur_report_bundle():
+    # slope, KL and local ARE for one alternative, from the plain functions
+    kappas = (1e-1, 1e-2)
     are = local_are("watson", 2, 3)
+    slopes = [slope("watson", 2, 3, kappa) for kappa in kappas]
+    kls = [kl_divergence("watson", 3, kappa) for kappa in kappas]
     assert are == 1.0
-    ratios = [slope("watson", 2, 3, kappa) / (2.0 * kl_divergence("watson", 3, kappa))
-              for kappa in (1e-1, 1e-2)]
+    assert len(slopes) == len(kls) == 2
+    # slope/(2 KL) approaches the local ARE along the grid
+    ratios = [s / (2.0 * k) for s, k in zip(slopes, kls)]
     assert abs(ratios[-1] - are) < abs(ratios[0] - are) + 1e-12
+    assert 0.0 <= are <= 1.0
 
 
 def test_are_table_layout():
