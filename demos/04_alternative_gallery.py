@@ -8,7 +8,7 @@ second moment (axial structure), and the mean of the matched Legendre profile
 
 import numpy as np
 
-from maxproj import density, legendre_eval, preset, sample
+from maxproj import legendre_eval, preset, sample
 from maxproj.rng import stream
 from maxproj.samplers import Watson
 from maxproj.special import vmf_mean_resultant, watson_mean_square
@@ -38,6 +38,3 @@ print(f"  uniform second moment 1/d            = {1/3:.4f}")
 print(f"  vMF resultant A_3(1)                 = {vmf_mean_resultant(3, 1.0):.4f}")
 print(f"  Watson second moment D_3(2)          = {watson_mean_square(3, 2.0):.4f}")
 print(f"  profile-class mean P_3, kappa/nu_3(3) = {1.0/7.0:.4f}")
-
-mode = density(preset("vmf1", D, kappa=1.0), E1)
-print(f"\nvMF(1) density at its mode: {mode:.4f} (uniform level is {1/(4*np.pi):.4f})")

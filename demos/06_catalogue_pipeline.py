@@ -31,31 +31,34 @@ diam = np.concatenate([rng.uniform(8, 140, n_small), rng.uniform(150, 600, n_lar
 lat = np.degrees(np.arcsin(points[:, 2]))
 lon = np.degrees(np.arctan2(points[:, 1], points[:, 0]))
 
-csv_path = Path(tempfile.mkdtemp()) / "synthetic_craters.csv"
-lines = ["lat,lon,diameter_km"]
-lines += [f"{la:.5f},{lo:.5f},{dk:.1f}" for la, lo, dk in zip(lat, lon, diam)]
-csv_path.write_text("\n".join(lines) + "\n")
-print(f"wrote {csv_path} with {points.shape[0]} rows")
+# the catalogue lives only as long as the pipeline needs it
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = Path(tmp) / "synthetic_craters.csv"
+    lines = ["lat,lon,diameter_km"]
+    lines += [f"{la:.5f},{lo:.5f},{dk:.1f}" for la, lo, dk in zip(lat, lon, diam)]
+    csv_path.write_text("\n".join(lines) + "\n")
+    print(f"wrote {csv_path} with {points.shape[0]} rows")
 
-x, report = ingest(csv_path, min_diameter=150.0)
-print(
-    f"ingest: schema={report.schema}, read={report.rows_read}, "
-    f"kept={report.rows_kept}, filtered={report.rows_filtered}"
-)
+    x, report = ingest(csv_path, min_diameter=150.0)
+    print(
+        f"ingest: schema={report.schema}, read={report.rows_read}, "
+        f"kept={report.rows_kept}, filtered={report.rows_filtered}"
+    )
 
-config = RunConfig(
-    d=3,
-    betas=(1, 2, 3, 4, 5, 6),
-    null_replications=999,
-    seed=31,
-    workers=2,
-    data=str(csv_path),
-    min_diameter=150.0,
-)
-print(f"\ntesting the {x.shape[0]} large features (999 null replications) ...")
-for row in cmd_test(config):
-    stars = "*" if row["pvalue"] < 0.05 else ""
-    print(f"  {row['statistic']:>3s}: value {row['value']:8.4f}, p = {row['pvalue']:.3f} {stars}")
+    config = RunConfig(
+        d=3,
+        betas=(1, 2, 3, 4, 5, 6),
+        null_replications=999,
+        seed=31,
+        workers=2,
+        data=str(csv_path),
+        min_diameter=150.0,
+    )
+    print(f"\ntesting the {x.shape[0]} large features (999 null replications) ...")
+    for row in cmd_test(config):
+        stars = "*" if row["pvalue"] < 0.05 else ""
+        print(f"  {row['statistic']:>3s}: value {row['value']:8.4f}, "
+              f"p = {row['pvalue']:.3f} {stars}")
 print(
     "\nOdd powers are the sensitive ones for unipolar clustering like this;\n"
     "even powers react mainly to antipodal structure and carry far less power\n"

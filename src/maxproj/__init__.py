@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from ._errors import DataError, InputError, NumericalError
 from .geometry import latlon_to_unit, make_cover, surface_area
-from .kernels import ZonalKernel, funk_hecke_check
+from .kernels import ZonalKernel
 from .legendre import harmonic_dim, legendre_eval, power_expansion, psi
 from .limits import limit_quantile, simulate_harmonic_max, simulate_kernel_max
 from .samplers import (
@@ -23,7 +23,6 @@ from .samplers import (
     Uniform,
     VonMisesFisher,
     Watson,
-    density,
     parse_alternative,
     preset,
     sample,
@@ -60,8 +59,6 @@ __all__ = [
     "cmd_power",
     "cmd_test",
     "cvm_statistic",
-    "density",
-    "funk_hecke_check",
     "gamma_shift",
     "harmonic_dim",
     "ingest",

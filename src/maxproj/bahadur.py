@@ -14,14 +14,12 @@ k = 2 (Watson) and k = m (the order-m Legendre-profile class).
 
 gamma_kappa is zonal in s = cos(angle to the symmetry axis), so maxima are
 taken over a dense grid of s in [-1, 1] (or over the cosines of a supplied
-direction cover).  The exponential families use the moment series in kappa
-with exact rational projection integrals of t^l against each Legendre
-polynomial; the profile class is exactly linear in kappa.
+direction cover).  The exponential families use the closed-form Legendre
+means E_kappa P_j(theta . X), Bessel ratios for von Mises-Fisher and confluent
+hypergeometric ratios for Watson; the profile class is exactly linear in kappa.
 """
 
 import math
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,12 +31,9 @@ from .legendre import (
     monomial_coefficients,
     power_expansion,
     psi,
-    psi_exact,
 )
 from .special import vmf_mean_resultant, vmf_norm_ratio, watson_mean_square, watson_norm_ratio
 
-_SERIES_TOL = 1e-14
-_SERIES_CAP = 10_000
 #: cosines of the dense grid over which gamma_kappa is maximized
 _GRID_SIZE = 4001
 
@@ -111,33 +106,33 @@ def kl_divergence(alt, d, kappa, m=None):
 # shift profiles gamma_kappa
 
 
-@lru_cache(maxsize=None)
-def _delta_ratio(d, j, l):
-    """Delta_j(l) / <P_0, P_0>: projection of t^l on P_j, normalized, exact."""
-    mono = monomial_coefficients(d, j)
-    total = Fraction(0)
-    for i, a in enumerate(mono):
-        if a:
-            total += a * psi_exact(d, l + i)
-    return total
+def _legendre_means(alt, beta, d, kappa):
+    """E_kappa P_j(theta . X), j = 0..beta, under the vMF or Watson family.
 
+    vMF: I_{j+nu}(kappa) / I_nu(kappa) with nu = d/2 - 1.  Watson: the even
+    moments E t^{2l} = psi_d(2l) M(l+1/2, d/2+l, kappa) / M(1/2, d/2, kappa),
+    combined through the monomial coefficients of P_j.  Exact at kappa = 0.
+    """
+    from scipy import special as sps
 
-def _exponential_weights(beta, d, kappa, even_only):
-    """delta_j(kappa) = sum_l kappa^l / l! * Delta_j(l)/M_0 for j = 0..beta."""
     out = np.zeros(beta + 1)
-    term = 1.0  # kappa^l / l!
-    l = 0
-    while True:
-        step = 2 * l if even_only else l
-        for j in range(beta + 1):
-            if (j + step) % 2 == 0:
-                out[j] += term * float(_delta_ratio(d, j, step))
-        l += 1
-        term *= kappa / l
-        if term < _SERIES_TOL and l > kappa:
-            break
-        if l >= _SERIES_CAP:
-            raise NumericalError("moment series did not converge")
+    out[0] = 1.0
+    if kappa == 0.0:
+        return out
+    if alt == "vmf":
+        nu = d / 2.0 - 1.0
+        out[1:] = sps.ive(np.arange(1, beta + 1) + nu, kappa) / sps.ive(nu, kappa)
+    else:
+        moments = np.zeros(beta + 1)
+        l = np.arange(beta // 2 + 1)
+        ratio = sps.hyp1f1(l + 0.5, d / 2.0 + l, kappa)
+        with np.errstate(invalid="ignore"):  # inf / inf once 1F1 overflows, caught below
+            ratio /= sps.hyp1f1(0.5, d / 2.0, kappa)
+        moments[::2] = [psi(d, 2 * i) for i in l] * ratio
+        for j in range(1, beta + 1):
+            out[j] = sum(float(a) * moments[i] for i, a in enumerate(monomial_coefficients(d, j)))
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"{alt} moments overflow at kappa = {kappa}")
     return out
 
 
@@ -147,22 +142,17 @@ def gamma_profile(alt, beta, d, kappa, s, m=None):
     if kappa < 0:
         raise InputError("kappa must be >= 0")
     s = np.asarray(s, dtype=float)
-    psi_b = psi(d, beta)
     if alt == "lp":
         amp = float(shift_amplitude_exact(beta, d, m))
         return kappa * amp * legendre_eval(d, m, s)
-    if alt == "vmf":
-        weights = _exponential_weights(beta, d, kappa, even_only=False)
-        norm = vmf_norm_ratio(d, kappa)
-    else:
-        weights = _exponential_weights(beta, d, kappa, even_only=True)
-        norm = watson_norm_ratio(d, kappa)
+    # the j = 0 term is psi_d(beta), the uniform moment that gamma subtracts
+    means = _legendre_means(alt, beta, d, kappa)
     total = np.zeros_like(s)
-    for j, c in enumerate(power_expansion(d, beta)):
-        cw = float(c) * weights[j]
+    for j, c in enumerate(power_expansion(d, beta)[1:], start=1):
+        cw = float(c) * means[j]
         if cw:
             total = total + cw * legendre_eval(d, j, s)
-    return total / norm - psi_b
+    return total
 
 
 def gamma_shift(alt, beta, d, kappa, cover=None, m=None):

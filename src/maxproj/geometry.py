@@ -103,14 +103,3 @@ def latlon_to_unit(lat_deg, lon_deg):
     lo = math.radians(lon)
     v = np.array([math.cos(la) * math.cos(lo), math.cos(la) * math.sin(lo), math.sin(la)])
     return v / np.linalg.norm(v)
-
-
-def random_rotation(d, rng):
-    """A Haar-random rotation matrix from SO(d) (QR of a Gaussian matrix)."""
-    rng = as_generator(rng)
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q

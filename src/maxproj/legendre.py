@@ -18,8 +18,6 @@ Key objects
                                  direction, E (b.U)^beta
 ``harmonic_dim(d, k)``           dimension of the order-k spherical-harmonic
                                  space on S^{d-1}
-``weighted_inner(f, g, d)``      the (1-t^2)^{(d-3)/2}-weighted inner product
-                                 that makes the P_k orthogonal
 """
 
 import math
@@ -29,13 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from ._errors import InputError, NumericalError
-
-#: largest exactly-tabulated order; higher orders are out of scope
-MAX_ORDER = 12
-
-#: absolute and relative target of the weighted_inner quadrature
-_INNER_TOL = 1e-12
-
 
 def harmonic_dim(d, k):
     """Dimension nu_d(k) of the space of order-k spherical harmonics on S^{d-1}."""
@@ -147,54 +138,3 @@ def psi_exact(d, beta):
 def psi(d, beta):
     """Float version of :func:`psi_exact`."""
     return float(psi_exact(d, beta))
-
-
-def check_expansion_nonnegative():
-    """Scan power expansions, d = 2..25 and m <= MAX_ORDER, for negative coefficients.
-
-    Non-negativity of the c_j is expected but unproven; this returns the
-    list of violations (empty so far for every scanned combination) instead
-    of assuming it.
-    """
-    violations = []
-    for d in range(2, 26):
-        for m in range(MAX_ORDER + 1):
-            for j, cj in enumerate(power_expansion(d, m)):
-                if cj < 0:
-                    violations.append((d, m, j, cj))
-    return violations
-
-
-def weighted_inner(f, g, d):
-    """Weighted inner product int_{-1}^{1} f g (1-t^2)^{(d-3)/2} dt.
-
-    For d = 2 the weight is singular at the endpoints, so the integral is
-    evaluated through the substitution t = cos(phi).  Raises NumericalError
-    if the quadrature cannot reach ``_INNER_TOL``.
-    """
-    from scipy import integrate
-
-    if d < 2:
-        raise InputError(f"dimension must be >= 2, got {d}")
-    if d == 2:
-        def integrand(phi):
-            t = math.cos(phi)
-            return f(t) * g(t)
-
-        lo, hi = 0.0, math.pi
-    else:
-        p = (d - 3) / 2.0
-
-        def integrand(t):
-            return f(t) * g(t) * (1.0 - t * t) ** p
-
-        lo, hi = -1.0, 1.0
-    value, err = integrate.quad(integrand, lo, hi, epsabs=_INNER_TOL, epsrel=_INNER_TOL, limit=200)
-    if err > max(_INNER_TOL, 1e-10 * abs(value)) * 50:
-        raise NumericalError(f"quadrature reached only {err:.2e} (target {_INNER_TOL:.2e})")
-    return value
-
-
-def legendre_norm2(d, k):
-    """<P_k, P_k> = |S^{d-1}| / (nu_d(k) |S^{d-2}|), exact up to Gamma calls."""
-    return math.sqrt(math.pi) * math.gamma((d - 1) / 2.0) / (harmonic_dim(d, k) * math.gamma(d / 2.0))

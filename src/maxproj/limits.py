@@ -118,12 +118,17 @@ def _batched_max_square(transfer, replications, rng):
     return out
 
 
-def simulate_kernel_max(beta, d, m, replications, seed=0):
-    """Maxima of the squared field over a cover of ``m`` directions, via the covariance route."""
-    m, replications = int(m), int(replications)
+def _limit_cover(d, m, seed):
+    """The ``(m, d)`` direction cover both simulation routes draw the field on."""
+    m = int(m)
     if m < d:
         raise InputError(f"cover size {m} must be at least d = {d}")
-    cover = uniform_points(d, m, stream(seed, NS_LIMIT, 0))
+    return uniform_points(d, m, stream(seed, NS_LIMIT, 0))
+
+
+def simulate_kernel_max(beta, d, m, replications, seed=0):
+    """Maxima of the squared field over a cover of ``m`` directions, via the covariance route."""
+    cover = _limit_cover(d, m, seed)
     kernel = ZonalKernel(beta, d)
     sigma = kernel.gram(cover)
     eigvals, eigvecs = np.linalg.eigh(sigma)
@@ -135,7 +140,7 @@ def simulate_kernel_max(beta, d, m, replications, seed=0):
     transfer = eigvecs[:, keep] * np.sqrt(clipped[keep])
     del sigma, eigvecs  # the two m x m matrices are not needed by the draws
     rng = stream(seed, NS_LIMIT, 1)
-    return _batched_max_square(transfer, replications, rng)
+    return _batched_max_square(transfer, int(replications), rng)
 
 
 def simulate_harmonic_max(beta, d, m, replications, seed=0):
@@ -150,7 +155,7 @@ def simulate_harmonic_max(beta, d, m, replications, seed=0):
         raise InputError(f"harmonic route implemented for beta <= {MAX_HARMONIC_BETA}")
     eigenvalues = ZonalKernel(beta, d).eigenvalues
     orders = [k for k, lam in enumerate(eigenvalues) if lam]
-    cover = uniform_points(d, int(m), stream(seed, NS_LIMIT, 0))
+    cover = _limit_cover(d, m, seed)
     phi = harmonic_basis(d, orders, cover)
     scale = np.array([math.sqrt(surface_area(d) * float(eigenvalues[k]))
                       for k in orders for _ in range(harmonic_dim(d, k))])

@@ -1,8 +1,7 @@
 """Random generation for the alternative distributions of the power study.
 
 All alternatives are specified by small frozen dataclasses; :func:`sample`
-draws exact iid variates and :func:`density` evaluates the density with
-respect to the surface measure.
+draws exact iid variates from them.
 
 The rotationally symmetric families (von Mises-Fisher, Watson, the
 Legendre-profile class) share one exact sampler: the cosine t = theta . X is
@@ -17,32 +16,24 @@ direction is uniform on the equator subsphere.
 
 The Bingham family (density proportional to exp(x' A x)) is not rotationally
 symmetric and uses rejection from an angular central Gaussian proposal with a
-one-dimensional tuning constant; a Metropolis fallback (10x thinning) covers
-pathological acceptance rates.
+one-dimensional tuning constant.  Both rejection samplers raise
+:class:`NumericalError` when their acceptance rate falls below ``_MIN_ACCEPT``.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._errors import InputError, NumericalError
-from .geometry import as_unit_vector, surface_area, uniform_points
+from .geometry import as_unit_vector, uniform_points
 from .legendre import legendre_eval
 from .rng import as_generator
-from .special import vmf_norm_const, watson_norm_const
 
-#: lowest acceptance rate of the cosine sampler, which then raises
+#: lowest acceptance rate of either rejection sampler, which then raises
 _MIN_ACCEPT = 1e-4
-#: lowest acceptance rate of the Bingham sampler, which then falls back to Metropolis
-_BINGHAM_MIN_ACCEPT = 1e-3
-#: candidates proposed before either acceptance rate is checked
+#: candidates proposed before the acceptance rate is checked
 _ACCEPT_WINDOW = 200_000
-#: Metropolis steps per kept Bingham draw
-_METROPOLIS_THIN = 10
-#: uniform draws of the Monte Carlo Bingham constant for d > 3
-_LOG_CONST_DRAWS = 200_000
 
 
 @dataclass(frozen=True)
@@ -184,13 +175,13 @@ def _cosine_profile(spec):
     raise InputError(f"not a rotationally symmetric family: {spec}")
 
 
-def _rejection(out, propose, min_accept, what):
+def _rejection(out, propose, what):
     """Fill ``out`` along its first axis with accepted proposals and return it.
 
     ``propose(block)`` draws ``block`` candidates and returns them with the
     mask of the accepted ones.  Blocks hold at least 2048 candidates and twice
     the number still missing.  Once ``_ACCEPT_WINDOW`` candidates have been
-    proposed, an acceptance rate below ``min_accept`` raises
+    proposed, an acceptance rate below ``_MIN_ACCEPT`` raises
     :class:`NumericalError`, naming the sampler as ``what``.
     """
     n = out.shape[0]
@@ -204,9 +195,9 @@ def _rejection(out, propose, min_accept, what):
         filled += take
         proposed += block
         accepted += got.shape[0]
-        if proposed >= _ACCEPT_WINDOW and accepted < min_accept * proposed:
+        if proposed >= _ACCEPT_WINDOW and accepted < _MIN_ACCEPT * proposed:
             raise NumericalError(
-                f"{what} rejection acceptance {accepted/proposed:.2e} below {min_accept:g}"
+                f"{what} rejection acceptance {accepted/proposed:.2e} below {_MIN_ACCEPT:g}"
             )
     return out
 
@@ -219,7 +210,7 @@ def _sample_cosines(spec, n, rng):
         t = 2.0 * rng.beta(a, a, size=block) - 1.0
         return t, rng.random(block) <= ratio(t)
 
-    return _rejection(np.empty(n), propose, _MIN_ACCEPT, "cosine")
+    return _rejection(np.empty(n), propose, "cosine")
 
 
 def _equator_directions(theta, n, rng):
@@ -270,28 +261,7 @@ def _sample_bingham(spec, n, rng):
         log_ratio = -s + (d / 2.0) * np.log1p(2.0 * s / b) - log_m
         return x, np.log(rng.random(block)) <= log_ratio
 
-    try:
-        out = _rejection(np.empty((n, d)), propose, _BINGHAM_MIN_ACCEPT, "Bingham")
-    except NumericalError as exc:
-        warnings.warn(f"{exc}; falling back to Metropolis", RuntimeWarning)
-        return _bingham_metropolis(spec, n, rng)
-    return out @ vecs.T
-
-
-def _bingham_metropolis(spec, n, rng):
-    d = spec.d
-    x = uniform_points(d, 1, rng)[0]
-    logf = float(x @ spec.A @ x)
-    out = np.empty((n, d))
-    for i in range(n * _METROPOLIS_THIN):
-        prop = x + 0.5 * rng.standard_normal(d)
-        prop /= np.linalg.norm(prop)
-        logf_prop = float(prop @ spec.A @ prop)
-        if math.log(rng.random()) <= logf_prop - logf:
-            x, logf = prop, logf_prop
-        if (i + 1) % _METROPOLIS_THIN == 0:
-            out[(i + 1) // _METROPOLIS_THIN - 1] = x
-    return out
+    return _rejection(np.empty((n, d)), propose, "Bingham") @ vecs.T
 
 
 def sample(spec, n, rng):
@@ -322,78 +292,6 @@ def sample(spec, n, rng):
                 out[idx] = sample(comp, idx.size, rng)
         return out
     raise InputError(f"unknown alternative spec: {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# densities
-
-
-def _bingham_log_const(spec):
-    """log c(d, A); quadrature for d <= 3, Monte Carlo (with SE) above.
-
-    Returns (log_const, stderr_of_const_relative).
-    """
-    from scipy import integrate, special as sps
-
-    d = spec.d
-    eigs = np.linalg.eigvalsh(spec.A)
-    if d == 2:
-        l1, l2 = eigs
-
-        def f(phi):
-            c = math.cos(phi)
-            return math.exp(l1 * c * c + l2 * (1.0 - c * c))
-
-        val, _ = integrate.quad(f, 0.0, 2.0 * math.pi, limit=200)
-        return math.log(val), 0.0
-    if d == 3:
-        l1, l2, l3 = eigs
-
-        def f(t):
-            r2 = 1.0 - t * t
-            mean = 0.5 * (l1 + l2) * r2
-            half_diff = 0.5 * (l1 - l2) * r2
-            # i0e avoids overflow: I0(x) = i0e(x) e^{|x|}
-            return 2.0 * math.pi * math.exp(l3 * t * t + mean + abs(half_diff)) * sps.i0e(half_diff)
-
-        val, _ = integrate.quad(f, -1.0, 1.0, limit=200)
-        return math.log(val), 0.0
-    rng = as_generator(0xB1A6)
-    x = uniform_points(d, _LOG_CONST_DRAWS, rng)
-    vals = np.exp(np.einsum("ij,jk,ik->i", x, spec.A, x))
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(_LOG_CONST_DRAWS))
-    return math.log(mean * surface_area(d)), se / mean
-
-
-def density(spec, x):
-    """Density of ``spec`` w.r.t. the surface measure, at one point or rows."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    scalar = np.asarray(x).ndim == 1
-    d = spec.d
-    if pts.shape[1] != d:
-        raise InputError(f"points have dimension {pts.shape[1]}, spec has {d}")
-    area = surface_area(d)
-    if isinstance(spec, Uniform):
-        out = np.full(pts.shape[0], 1.0 / area)
-    elif isinstance(spec, VonMisesFisher):
-        out = np.exp(spec.kappa * (pts @ spec.theta)) / vmf_norm_const(d, spec.kappa)
-    elif isinstance(spec, Watson):
-        out = np.exp(spec.kappa * (pts @ spec.theta) ** 2) / watson_norm_const(d, spec.kappa)
-    elif isinstance(spec, LegendreProfile):
-        t = np.clip(pts @ spec.theta, -1.0, 1.0)
-        out = (1.0 + spec.kappa * legendre_eval(d, spec.m, t)) / area
-        out = np.maximum(out, 0.0)
-    elif isinstance(spec, Bingham):
-        log_c, _ = _bingham_log_const(spec)
-        out = np.exp(np.einsum("ij,jk,ik->i", pts, spec.A, pts) - log_c)
-    elif isinstance(spec, MixtureVMF):
-        out = np.zeros(pts.shape[0])
-        for w, comp in zip(spec.weights, spec.components):
-            out += w * density(comp, pts)
-    else:
-        raise InputError(f"unknown alternative spec: {spec!r}")
-    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "circle_classical",
     "sphere_sobolev",
     "projection_cdf",
-    "ks_statistic",
     "ca_statistic",
     "cvm_statistic",
     "cvm_kernel",
@@ -349,15 +348,6 @@ def _projection_pdf(d, y):
 
     y = np.asarray(y, dtype=float)
     return (1.0 - y * y) ** ((d - 3) / 2.0) / sps.beta(0.5, (d - 1) / 2.0)
-
-
-def ks_statistic(values, d):
-    """One-sample Kolmogorov-Smirnov sup distance against F_{d-1}."""
-    v = np.sort(np.asarray(values, dtype=float))
-    n = v.shape[0]
-    f = projection_cdf(d, v)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 
 def ca_statistic(x, q, rng):

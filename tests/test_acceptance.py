@@ -15,13 +15,14 @@ from conftest import SEED_POWER, WORKERS
 from maxproj.bahadur import are_table, gamma_shift, kl_divergence
 from maxproj.geometry import make_cover, surface_area, uniform_points
 from maxproj.harness import critical_value, rejection_rates, run_replications
-from maxproj.kernels import ZonalKernel, shift_value, sphere_quadrature
+from maxproj.kernels import ZonalKernel
 from maxproj.legendre import harmonic_dim, legendre_eval, psi
 from maxproj.limits import quantile_stderr, simulate_harmonic_max, simulate_kernel_max
 from maxproj.rng import NS_POWER, stream
 from maxproj.samplers import preset, sample, two_center_mix
 from maxproj.special import vmf_mean_resultant
 from maxproj.statistics import max_projection_values, t1_closed, t2_closed
+from oracles import shift_value, sphere_quadrature
 from test_kernels import eigenvalues_closed, rho_closed
 
 pytestmark = pytest.mark.acceptance

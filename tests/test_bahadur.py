@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxproj import InputError
+from maxproj import InputError, NumericalError
 from maxproj.bahadur import (
-    _delta_ratio,
     are_table,
     gamma_profile,
     gamma_shift,
@@ -20,6 +19,7 @@ from maxproj.legendre import harmonic_dim, legendre_eval, power_expansion
 from maxproj.rng import stream
 from maxproj.samplers import LegendreProfile, sample
 from maxproj.special import vmf_mean_resultant
+from oracles import delta_ratio
 
 DIMS = (2, 3, 5, 10)
 
@@ -30,7 +30,40 @@ def test_delta_ratio_consistent_with_expansions():
         for l in range(13):
             exp = power_expansion(d, l)
             for j in range(l + 1):
-                assert _delta_ratio(d, j, l) == Fraction(exp[j], harmonic_dim(d, j))
+                assert delta_ratio(d, j, l) == Fraction(exp[j], harmonic_dim(d, j))
+
+
+def _series_gamma(alt, beta, d, kappa, s, terms=80):
+    """gamma_kappa from the moment series sum_l kappa^l / l! <P_j, t^l> in exact projections."""
+    step = 1 if alt == "vmf" else 2
+    weights = np.zeros(beta + 1)
+    term = 1.0
+    for l in range(terms):
+        for j in range(beta + 1):
+            weights[j] += term * float(delta_ratio(d, j, step * l))
+        term *= kappa / (l + 1)
+    total = sum(float(c) * weights[j] * legendre_eval(d, j, s)
+                for j, c in enumerate(power_expansion(d, beta)))
+    return total / weights[0] - float(power_expansion(d, beta)[0])
+
+
+def test_gamma_profile_closed_forms_match_moment_series():
+    s = np.linspace(-1.0, 1.0, 41)
+    for alt in ("vmf", "watson"):
+        for d in (2, 3, 5, 10):
+            for beta in range(1, 7):
+                for kappa in (1e-2, 0.5, 3.0):
+                    np.testing.assert_allclose(
+                        gamma_profile(alt, beta, d, kappa, s), _series_gamma(alt, beta, d, kappa, s),
+                        rtol=0, atol=1e-13, err_msg=f"{alt} beta={beta} d={d} kappa={kappa}")
+
+
+def test_gamma_profile_is_zero_at_the_null_and_rejects_overflow():
+    s = np.linspace(-1.0, 1.0, 11)
+    for alt in ("vmf", "watson"):
+        assert np.all(gamma_profile(alt, 4, 5, 0.0, s) == 0.0)
+    with pytest.raises(NumericalError, match="overflow"):
+        gamma_profile("watson", 4, 3, 1e3, s)
 
 
 def test_kl_vmf_small_kappa_quadratic():

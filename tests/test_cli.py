@@ -212,6 +212,19 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["limit", "--method", "kernel", "--cover-m", "1"],
+    ["limit", "--method", "harmonic", "--cover-m", "1"],
+    ["critvals", "--n", "inf", "--cover-m", "2"],
+    ["critvals", "--n", "inf*", "--cover-m", "2"],
+], ids=["limit-kernel", "limit-harmonic", "critvals-inf", "critvals-inf*"])
+def test_limit_cover_smaller_than_d_is_a_usage_error(args, capsys):
+    code, out, err = run_cli(args + ["--d", "3", "--reps", "10"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "must be at least d = 3" in err
+
+
 def run_module(args):
     """Run ``python -m maxproj.cli`` on this source tree in a fresh process."""
     return run_python("-m", "maxproj.cli", *args)

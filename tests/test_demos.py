@@ -15,3 +15,4 @@ def test_demo_runs(demo, tmp_path, monkeypatch):
     proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []  # and removes it

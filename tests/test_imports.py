@@ -8,11 +8,14 @@ Every command here runs at least 128 replications, two chunks of 64, so that
 ``--workers 2`` really forks.
 """
 
+import ast
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maxproj
 from conftest import run_python
 
 POWER = ["power", "--d", "3", "--reps", "128", "--power-reps", "128",
@@ -108,3 +111,27 @@ def test_public_names_resolve(module):
         assert name in namespace, name
     # the array statistics the harness runs are the library's entry points
     assert {"max_projection_values", "ca_statistic", "cvm_statistic"} <= set(names)
+
+
+def test_every_public_function_is_run_or_exported():
+    # a public top-level function of the package is called from elsewhere in
+    # it or exported; an oracle that only the tests call lives in tests/oracles.py
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(maxproj.__file__).parent.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add((node.id, top))
+                elif isinstance(node, ast.Attribute):
+                    used.add((node.attr, top))
+    unused = [
+        f"{module}:{top.name}"
+        for module, tree in trees.items()
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+        and top.name not in maxproj.__all__
+        and not any(name == top.name and owner is not top for name, owner in used)
+    ]
+    assert unused == []

@@ -7,17 +7,15 @@ import pytest
 from maxproj import InputError
 from maxproj.geometry import surface_area, uniform_points
 from maxproj.legendre import (
-    check_expansion_nonnegative,
     harmonic_dim,
     legendre_eval,
-    legendre_norm2,
     monomial_coefficients,
     power_expansion,
     psi,
     psi_exact,
-    weighted_inner,
 )
 from maxproj.rng import stream
+from oracles import check_expansion_nonnegative, legendre_norm2, weighted_inner
 
 DIMS = (2, 3, 5, 10)
 

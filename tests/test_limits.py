@@ -6,7 +6,7 @@ from scipy import stats
 
 from maxproj import InputError
 from maxproj.geometry import surface_area, uniform_points
-from maxproj.kernels import ZonalKernel, sphere_quadrature
+from maxproj.kernels import ZonalKernel
 from maxproj.legendre import harmonic_dim, legendre_eval
 from maxproj.limits import (
     harmonic_basis,
@@ -16,6 +16,7 @@ from maxproj.limits import (
     simulate_kernel_max,
 )
 from maxproj.rng import NS_LIMIT, stream
+from oracles import sphere_quadrature
 
 
 def test_cover_covariance_diagonal_is_total_variance():
@@ -160,3 +161,14 @@ def test_limit_quantile_input_validation():
         limit_quantile(1, 2, 0.95, "nope", m=50, replications=10)
     top, _, maxima = limit_quantile(1, 2, 1.0, "kernel", m=50, replications=10)
     assert top == maxima.max()
+
+
+@pytest.mark.parametrize("method", ["kernel", "harmonic"])
+def test_both_routes_reject_a_cover_smaller_than_d(method):
+    simulate = simulate_kernel_max if method == "kernel" else simulate_harmonic_max
+    for m in (1, 2):
+        with pytest.raises(InputError, match=f"cover size {m} must be at least d = 3"):
+            simulate(3, 3, m=m, replications=10, seed=1)
+        with pytest.raises(InputError, match=f"cover size {m} must be at least d = 3"):
+            limit_quantile(3, 3, 0.95, method, m=m, replications=10)
+    assert simulate(3, 3, m=3, replications=10, seed=1).shape == (10,)

@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 import maxproj.samplers as samplers
 from maxproj import InputError, NumericalError
-from maxproj.geometry import surface_area, uniform_points
+from maxproj.geometry import uniform_points
 from maxproj.legendre import harmonic_dim, legendre_eval
 from maxproj.rng import stream
 from maxproj.samplers import (
@@ -16,7 +16,6 @@ from maxproj.samplers import (
     Uniform,
     VonMisesFisher,
     Watson,
-    density,
     parse_alternative,
     preset,
     sample,
@@ -115,13 +114,23 @@ def test_cosine_rejection_raises_on_low_acceptance():
         sample(VonMisesFisher(E1_3, 1e5), 10, stream(13))
 
 
-def test_bingham_low_acceptance_falls_back_to_metropolis(monkeypatch):
+def test_bingham_rejection_raises_on_low_acceptance(monkeypatch):
     monkeypatch.setattr(samplers, "_ACCEPT_WINDOW", 0)
-    monkeypatch.setattr(samplers, "_BINGHAM_MIN_ACCEPT", 1.0)
-    with pytest.warns(RuntimeWarning, match="falling back to Metropolis"):
-        x = sample(Bingham(np.diag([0.0, 0.5, 1.5])), 50, stream(14))
-    assert x.shape == (50, 3)
-    np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
+    monkeypatch.setattr(samplers, "_MIN_ACCEPT", 1.0)
+    with pytest.raises(NumericalError, match="Bingham rejection acceptance .* below 1"):
+        sample(Bingham(np.diag([0.0, 0.5, 1.5])), 50, stream(14))
+
+
+@pytest.mark.parametrize("name", ["bing1", "bing2"])
+def test_bingham_acceptance_stays_above_a_tenth(name, monkeypatch):
+    # the angular central Gaussian envelope accepts a share bounded below in
+    # kappa, so the rejection sampler needs no fallback at any concentration
+    monkeypatch.setattr(samplers, "_ACCEPT_WINDOW", 0)
+    monkeypatch.setattr(samplers, "_MIN_ACCEPT", 0.1)
+    for d in (2, 3, 5, 10):
+        for kappa in (0.1, 1.0, 10.0, 1e3, 1e8):
+            x = sample(preset(name, d, kappa=kappa), 5000, stream(15, d))
+            assert x.shape == (5000, d)
 
 
 def test_mixture_component_weights():
@@ -131,44 +140,6 @@ def test_mixture_component_weights():
     labels = np.argmax(x @ np.eye(3).T, axis=1)
     freq = np.bincount(labels, minlength=3) / x.shape[0]
     assert np.allclose(freq, [0.25, 0.25, 0.5], atol=0.02)
-
-
-def test_density_uniform_and_profile_boundary():
-    assert density(Uniform(3), E1_3) == pytest.approx(1.0 / surface_area(3), abs=1e-15)
-    spec = LegendreProfile(1, E1_3, 1.0)
-    assert density(spec, -E1_3) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_density_vmf_mode_value():
-    # independent oracle: f(theta) = e^kappa / integral of e^{kappa t} over S^2
-    #                              = e / (2 pi (e - 1/e)) at kappa = 1
-    spec = VonMisesFisher(E1_3, 1.0)
-    target = math.e / (2.0 * math.pi * (math.e - 1.0 / math.e))
-    assert density(spec, E1_3) == pytest.approx(target, rel=1e-12)
-    assert target == pytest.approx(0.184065499616596, abs=1e-14)
-
-
-def test_density_integrates_to_one():
-    # circle quadrature for d = 2 specs, including Bingham
-    phi = np.linspace(0.0, 2.0 * math.pi, 20_001)[:-1]
-    pts = np.column_stack([np.cos(phi), np.sin(phi)])
-    w = 2.0 * math.pi / phi.shape[0]
-    for spec in (
-        VonMisesFisher(np.array([1.0, 0.0]), 2.0),
-        Watson(np.array([0.0, 1.0]), 1.5),
-        LegendreProfile(4, np.array([1.0, 0.0]), 0.5),
-        Bingham(np.array([[0.5, 0.3], [0.3, -0.2]])),
-        two_center_mix(0.3, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 1.0, 4.0),
-    ):
-        total = density(spec, pts).sum() * w
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_mixture_density_is_weighted_sum():
-    spec = two_center_mix(0.3, E1_3, -E1_3, 1.0, 4.0)
-    x = uniform_points(3, 5, stream(13))
-    expect = 0.3 * density(spec.components[0], x) + 0.7 * density(spec.components[1], x)
-    np.testing.assert_allclose(density(spec, x), expect, atol=1e-15)
 
 
 def test_preset_directions_are_normalized():

@@ -7,7 +7,7 @@ from scipy import special as sps
 
 import maxproj.statistics as statistics
 from maxproj import InputError
-from maxproj.geometry import make_cover, random_rotation, uniform_points
+from maxproj.geometry import make_cover, uniform_points
 from maxproj.legendre import psi
 from maxproj.rng import stream
 from maxproj.samplers import VonMisesFisher, sample
@@ -19,13 +19,13 @@ from maxproj.statistics import (
     circle_classical,
     cvm_kernel,
     cvm_statistic,
-    ks_statistic,
     max_projection_values,
     projection_cdf,
     sphere_sobolev,
     t1_closed,
     t2_closed,
 )
+from oracles import ks_statistic, random_rotation
 
 
 def from_angles(angles):
