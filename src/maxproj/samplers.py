@@ -16,12 +16,14 @@ direction is uniform on the equator subsphere.
 
 The Bingham family (density proportional to exp(x' A x)) is not rotationally
 symmetric and uses rejection from an angular central Gaussian proposal with a
-one-dimensional tuning constant.  Both rejection samplers raise
-:class:`NumericalError` when their acceptance rate falls below ``_MIN_ACCEPT``.
+one-dimensional tuning constant, found by bisection once per spectrum.  Both
+rejection samplers raise :class:`NumericalError` when their acceptance rate
+falls below ``_MIN_ACCEPT``.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -233,24 +235,37 @@ def _sample_symmetric(spec, n, rng):
     return t[:, None] * spec.theta[None, :] + np.sqrt(1.0 - t * t)[:, None] * xi
 
 
-def _bingham_tuning(shifted_eigs, d):
-    """Proposal constant b in (0, d] solving sum 1/(b + 2 a_i) = 1."""
-    from scipy import optimize
+@lru_cache(maxsize=64)
+def _bingham_tuning(shifted_eigs):
+    """Proposal constant b in [1, d] solving f(b) = sum 1/(b + 2 a_i) - 1 = 0.
+
+    ``shifted_eigs`` is the tuple of the d values a_i >= 0, one of them 0.
+    f decreases in b, f(1) >= 0 because of the zero a_i and f(d) <= 0, so
+    bisection down to adjacent doubles brackets the root; the end with the
+    smaller |f| is returned.  Cached on the spectrum, so a spec is solved once
+    however many samples it draws.
+    """
+    a2 = 2.0 * np.array(shifted_eigs)
 
     def f(b):
-        return float(np.sum(1.0 / (b + 2.0 * shifted_eigs)) - 1.0)
+        return float(np.sum(1.0 / (b + a2)) - 1.0)
 
-    hi = float(d)
-    if abs(f(hi)) < 1e-13:
+    lo, hi = 1.0, float(a2.shape[0])
+    if abs(f(hi)) < 1e-13:  # all a_i = 0: the root is d, where f(d) = 0 up to rounding
         return hi
-    return float(optimize.brentq(f, 1e-12, hi))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if abs(f(lo)) <= abs(f(hi)) else hi
 
 
 def _sample_bingham(spec, n, rng):
     d = spec.d
     eigs, vecs = np.linalg.eigh(spec.A)
     a = eigs.max() - eigs  # >= 0, exp(x'Ax) ∝ exp(-x' diag(a) x) in eigencoords
-    b = _bingham_tuning(a, d)
+    b = _bingham_tuning(tuple(a.tolist()))
     log_m = -(d - b) / 2.0 + (d / 2.0) * math.log(d / b)
     prop_sd = np.sqrt(1.0 / (1.0 + 2.0 * a / b))
 

@@ -284,11 +284,18 @@ def circle_classical(sample):
     }
 
 
+@lru_cache(maxsize=8)
+def _upper_pairs(n):
+    """Read-only ``np.triu_indices(n, k=1)``, shared by every call at this n."""
+    iu = np.triu_indices(n, k=1)
+    for index in iu:
+        index.flags.writeable = False
+    return iu
+
+
 def _pairwise_angles(x):
-    g = np.clip(x @ x.T, -1.0, 1.0)
-    theta = np.arccos(g)
-    iu = np.triu_indices(x.shape[0], k=1)
-    return theta[iu]
+    g = (x @ x.T)[_upper_pairs(x.shape[0])]
+    return np.arccos(np.clip(g, -1.0, 1.0))
 
 
 def _ajne(n, theta):
@@ -331,14 +338,23 @@ def sphere_sobolev(sample, theta=None):
 
 
 def projection_cdf(d, y):
-    """CDF of a fixed projection b.U of a uniform direction, F_{d-1}(y)."""
-    from scipy import special as sps
+    """CDF of a fixed projection b.U of a uniform direction, F_{d-1}(y).
 
+    Closed forms at d = 2 (arcsine law) and d = 3 (uniform law, Archimedes);
+    the regularized incomplete beta function above.
+    """
     if d < 2:
         raise InputError(f"dimension must be >= 2, got {d}")
     y = np.asarray(y, dtype=float)
     yc = np.clip(y, -1.0, 1.0)
-    vals = 0.5 * (1.0 + np.sign(yc) * sps.betainc(0.5, (d - 1) / 2.0, yc * yc))
+    if d == 2:
+        vals = 0.5 + np.arcsin(yc) / math.pi
+    elif d == 3:
+        vals = 0.5 * (1.0 + yc)
+    else:
+        from scipy import special as sps
+
+        vals = 0.5 * (1.0 + np.sign(yc) * sps.betainc(0.5, (d - 1) / 2.0, yc * yc))
     vals = np.where(y < -1.0, 0.0, np.where(y > 1.0, 1.0, vals))
     return vals if vals.ndim else float(vals)
 

@@ -1,9 +1,12 @@
 """What the package and its commands import, and when.
 
 ``critvals``, ``test`` and the kernel ``limit`` route run on numpy alone, so
-they must start without scipy.  Commands that do call scipy load it in the
-parent process before a worker pool forks, and the forked workers import
-nothing at all: a module imported after the fork is imported once per worker.
+they must start without scipy.  ``power`` loads ``scipy.special`` for its
+competitor battery, and ``scipy.integrate`` only for the CvM kernel table at
+d >= 5; its samplers and its projection CDF at d <= 3 need no scipy.  Commands
+that do call scipy load it in the parent process before a worker pool forks,
+and the forked workers import nothing at all: a module imported after the fork
+is imported once per worker.
 Every command here runs at least 128 replications, two chunks of 64, so that
 ``--workers 2`` really forks.
 """
@@ -67,7 +70,7 @@ def test_numpy_only_commands_import_no_scipy(argv, catalogue):
 def test_power_loads_scipy_once_before_workers_fork():
     modules = imported_modules(POWER)
     assert modules.count("scipy.special") == 1
-    assert modules.count("scipy.optimize") == 1
+    assert modules.count("scipy.optimize") == modules.count("scipy.integrate") == 0
 
 
 _FORK_PROBE = textwrap.dedent("""
@@ -94,10 +97,15 @@ _FORK_PROBE = textwrap.dedent("""
 @pytest.mark.parametrize("argv", [
     ["critvals", "--d", "3", "--reps", "128", "--workers", "2"],
     POWER,
+    ["power", "--d", "2", "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1",
+     "--workers", "2"],
+    # the projection CDF at d >= 4 is scipy.special.betainc
+    ["power", "--d", "4", "--n", "30", "--beta", "1", "2", "3", "--cover-m", "200",
+     "--reps", "128", "--power-reps", "64", "--alt=bing1:kappa=1", "--workers", "2"],
     # the CvM kernel at d >= 5 is a scipy.integrate quadrature table
     ["power", "--d", "10", "--n", "12", "--beta", "1", "2", "3", "--cover-m", "50",
      "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1", "--workers", "2"],
-], ids=["critvals", "power", "power-d10"])
+], ids=["critvals", "power", "power-d2", "power-d4", "power-d10"])
 def test_forked_workers_import_nothing(argv):
     python("-c", _FORK_PROBE, *argv)
 

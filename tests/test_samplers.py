@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, optimize, stats
 
 import maxproj.samplers as samplers
 from maxproj import InputError, NumericalError
@@ -131,6 +132,36 @@ def test_bingham_acceptance_stays_above_a_tenth(name, monkeypatch):
         for kappa in (0.1, 1.0, 10.0, 1e3, 1e8):
             x = sample(preset(name, d, kappa=kappa), 5000, stream(15, d))
             assert x.shape == (5000, d)
+
+
+@st.composite
+def shifted_spectra(draw):
+    """Tuples a >= 0 of length d in {2, 3, 5, 10} with one a_i = 0."""
+    d = draw(st.sampled_from((2, 3, 5, 10)))
+    rest = draw(st.lists(st.floats(0.0, 1e9), min_size=d - 1, max_size=d - 1))
+    zero = draw(st.integers(0, d - 1))
+    return tuple(rest[:zero] + [0.0] + rest[zero:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shifted=shifted_spectra())
+def test_bingham_tuning_solves_its_equation_once(shifted):
+    a2 = 2.0 * np.array(shifted)
+    d = a2.shape[0]
+
+    def f(b):
+        return math.fsum(1.0 / (b + a2)) - 1.0
+
+    b = samplers._bingham_tuning(shifted)
+    assert 1.0 <= b <= d
+    assert abs(f(b)) <= 1e-12
+    # the root scipy's brentq found before, to within its xtol + rtol * |b|
+    ref = float(d) if abs(f(d)) < 1e-13 else optimize.brentq(f, 1e-12, float(d))
+    assert abs(b - ref) <= 2e-12 + 4.0 * np.finfo(float).eps * b
+    before = samplers._bingham_tuning.cache_info()
+    assert samplers._bingham_tuning(shifted) == b
+    after = samplers._bingham_tuning.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_mixture_component_weights():
