@@ -75,14 +75,16 @@ def uniform_points(d, n, rng):
 def make_cover(d, m, seed):
     """Uniform random cover of S^{d-1} as an ``(m, d)`` array, bit-reproducible from ``seed``.
 
-    Requires ``m >= d`` so that downstream covariance matrices have full
-    column space.
+    ``seed`` is a Generator, whose next ``m`` uniform directions are the
+    cover, or an int standing for the stream ``(seed, NS_COVER)``.  Every
+    cover of the commands is drawn here, each from its own stream.  Requires
+    ``m >= d`` so that the cover spans R^d and downstream covariance
+    matrices have full column space.
     """
-    if m < 1:
-        raise InputError(f"cover size must be >= 1, got {m}")
     if m < d:
-        raise InputError(f"cover size {m} is smaller than the dimension {d}")
-    return uniform_points(d, m, stream(seed, NS_COVER))
+        raise InputError(f"cover size {m} must be at least d = {d}")
+    rng = seed if isinstance(seed, np.random.Generator) else stream(seed, NS_COVER)
+    return uniform_points(d, m, rng)
 
 
 def latlon_to_unit(lat_deg, lon_deg):

@@ -7,7 +7,7 @@ Legendre polynomial.  Everything here is built from exact rational monomial
 coefficients (``fractions.Fraction``) and converted to float only at
 evaluation time: the expansion coefficients that express powers t^m in the
 Legendre basis suffer heavy cancellation in floating point, while the rational
-route is exact and cheap for the orders (<= 12) this package uses.
+route is exact and cheap for the orders (<= 20) this package uses.
 
 Key objects
 -----------

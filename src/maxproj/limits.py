@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from ._errors import InputError, NumericalError
-from .geometry import surface_area, uniform_points
+from .geometry import make_cover, surface_area
 from .kernels import ZonalKernel
 from .legendre import harmonic_dim
 from .rng import NS_LIMIT, stream
@@ -118,17 +118,9 @@ def _batched_max_square(transfer, replications, rng):
     return out
 
 
-def _limit_cover(d, m, seed):
-    """The ``(m, d)`` direction cover both simulation routes draw the field on."""
-    m = int(m)
-    if m < d:
-        raise InputError(f"cover size {m} must be at least d = {d}")
-    return uniform_points(d, m, stream(seed, NS_LIMIT, 0))
-
-
 def simulate_kernel_max(beta, d, m, replications, seed=0):
     """Maxima of the squared field over a cover of ``m`` directions, via the covariance route."""
-    cover = _limit_cover(d, m, seed)
+    cover = make_cover(d, int(m), stream(seed, NS_LIMIT, 0))
     kernel = ZonalKernel(beta, d)
     sigma = kernel.gram(cover)
     eigvals, eigvecs = np.linalg.eigh(sigma)
@@ -155,7 +147,7 @@ def simulate_harmonic_max(beta, d, m, replications, seed=0):
         raise InputError(f"harmonic route implemented for beta <= {MAX_HARMONIC_BETA}")
     eigenvalues = ZonalKernel(beta, d).eigenvalues
     orders = [k for k, lam in enumerate(eigenvalues) if lam]
-    cover = _limit_cover(d, m, seed)
+    cover = make_cover(d, int(m), stream(seed, NS_LIMIT, 0))
     phi = harmonic_basis(d, orders, cover)
     scale = np.array([math.sqrt(surface_area(d) * float(eigenvalues[k]))
                       for k in orders for _ in range(harmonic_dim(d, k))])

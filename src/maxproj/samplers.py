@@ -36,6 +36,10 @@ from .rng import as_generator
 _MIN_ACCEPT = 1e-4
 #: candidates proposed before the acceptance rate is checked
 _ACCEPT_WINDOW = 200_000
+#: highest order of a Legendre profile: the float monomial form of P_m stays
+#: within 1e-10 of [-1, 1] on [-1, 1] up to here for every d, and above it
+#: rounding grows until the density is wrong (|P_100| reaches 2e16)
+MAX_PROFILE_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,8 @@ class LegendreProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", as_unit_vector(self.theta))
-        if self.m < 1:
-            raise InputError("profile order must be >= 1")
+        if not 1 <= self.m <= MAX_PROFILE_ORDER:
+            raise InputError(f"profile order must lie in 1..{MAX_PROFILE_ORDER}, got {self.m}")
         if not 0.0 <= self.kappa <= 1.0:
             raise InputError("kappa must lie in [0, 1] for a non-negative density")
 
@@ -123,8 +127,8 @@ class MixtureVMF:
         w = tuple(float(x) for x in self.weights)
         if len(w) != len(self.components) or not self.components:
             raise InputError("need one weight per component")
-        if any(x <= 0 for x in w) or abs(sum(w) - 1.0) > 1e-12:
-            raise InputError("weights must be positive and sum to 1")
+        if not all(x > 0 for x in w) or abs(sum(w) - 1.0) > 1e-12:  # NaN is not > 0
+            raise InputError(f"weights must be positive and sum to 1, got {w}")
         ds = {c.d for c in self.components}
         if len(ds) != 1:
             raise InputError("components must share the dimension")
@@ -133,30 +137,6 @@ class MixtureVMF:
     @property
     def d(self):
         return self.components[0].d
-
-
-def two_center_mix(p, theta1, theta2, kappa1, kappa2):
-    """Draw from vMF(theta1, kappa1) w.p. p, else vMF(theta2, kappa2)."""
-    if not 0.0 < p < 1.0:
-        raise InputError("mixing weight must lie in (0, 1)")
-    return MixtureVMF(
-        weights=(p, 1.0 - p),
-        components=(VonMisesFisher(theta1, kappa1), VonMisesFisher(theta2, kappa2)),
-    )
-
-
-def three_center_mix(p, theta1, theta2, theta3, kappa1, kappa2, kappa3):
-    """Weights (p, p, 1-2p) over three vMF components; p in (0, 1/2)."""
-    if not 0.0 < p < 0.5:
-        raise InputError("mixing weight must lie in (0, 1/2)")
-    return MixtureVMF(
-        weights=(p, p, 1.0 - 2.0 * p),
-        components=(
-            VonMisesFisher(theta1, kappa1),
-            VonMisesFisher(theta2, kappa2),
-            VonMisesFisher(theta3, kappa3),
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +320,26 @@ def _a2(d):
     return out
 
 
+def _vmf_mixture(d, kw):
+    """mixvmf1..4: weights (p, 1-p) on -e1, e1, or (p, p, 1-2p) on three centers given k3."""
+    p = kw["p"]
+    if "k3" in kw:
+        weights, centers = (p, p, 1.0 - 2.0 * p), (_theta2(d), _theta3(d), _theta1(d))
+    else:
+        weights, centers = (p, 1.0 - p), (-_theta1(d), _theta1(d))
+    kappas = [kw[k] for k in ("k1", "k2", "k3") if k in kw]
+    return MixtureVMF(weights, tuple(map(VonMisesFisher, centers, kappas)))
+
+
 #: preset -> (required keys, optional keys with their defaults, builder of the
 #: spec from the dimension and the full parameter dict)
 PRESETS = {
     "uniform": ((), {}, lambda d, kw: Uniform(d)),
     "vmf1": (("kappa",), {}, lambda d, kw: VonMisesFisher(_theta1(d), kw["kappa"])),
-    "mixvmf1": (("p",), {"k1": 1.0, "k2": 1.0}, lambda d, kw: two_center_mix(
-        kw["p"], -_theta1(d), _theta1(d), kw["k1"], kw["k2"])),
-    "mixvmf2": (("p",), {"k1": 1.0, "k2": 4.0}, lambda d, kw: two_center_mix(
-        kw["p"], -_theta1(d), _theta1(d), kw["k1"], kw["k2"])),
-    "mixvmf3": (("p",), {"k1": 2.0, "k2": 3.0, "k3": 3.0}, lambda d, kw: three_center_mix(
-        kw["p"], _theta2(d), _theta3(d), _theta1(d), kw["k1"], kw["k2"], kw["k3"])),
-    "mixvmf4": (("p",), {"k1": 2.0, "k2": 3.0, "k3": 4.0}, lambda d, kw: three_center_mix(
-        kw["p"], _theta2(d), _theta3(d), _theta1(d), kw["k1"], kw["k2"], kw["k3"])),
+    "mixvmf1": (("p",), {"k1": 1.0, "k2": 1.0}, _vmf_mixture),
+    "mixvmf2": (("p",), {"k1": 1.0, "k2": 4.0}, _vmf_mixture),
+    "mixvmf3": (("p",), {"k1": 2.0, "k2": 3.0, "k3": 3.0}, _vmf_mixture),
+    "mixvmf4": (("p",), {"k1": 2.0, "k2": 3.0, "k3": 4.0}, _vmf_mixture),
     "bing1": (("kappa",), {}, lambda d, kw: Bingham(kw["kappa"] * _a1(d))),
     "bing2": (("kappa",), {}, lambda d, kw: Bingham(kw["kappa"] * _a2(d))),
     "lp": (("m", "kappa"), {}, lambda d, kw: LegendreProfile(
@@ -366,8 +353,9 @@ def preset(name, d, **params):
     vmf1(kappa); mixvmf1(p)/mixvmf2(p) with antipodal centers;
     mixvmf3(p)/mixvmf4(p) with three centers; bing1(kappa)/bing2(kappa);
     lp(m, kappa); uniform.  :data:`PRESETS` lists each one's required and
-    optional keys.  A missing or unknown key, a non-finite value or a
-    non-integer ``m`` raises :class:`InputError`.
+    optional keys.  A missing or unknown key, a non-finite value, an ``m``
+    that is not an integer in 1..:data:`MAX_PROFILE_ORDER` or a ``p`` that
+    leaves a mixture weight at or below 0 raises :class:`InputError`.
     """
     name = name.lower()
     if name not in PRESETS:
@@ -395,20 +383,20 @@ def parse_alternative(text, d):
     follow after a colon as comma-separated ``key=value`` pairs.
     """
     text = text.strip()
-    if ":" in text:
-        name, _, rest = text.partition(":")
-        params = {}
-        for chunk in rest.split(","):
-            if not chunk:
-                continue
-            key, _, val = chunk.partition("=")
-            if not val:
-                raise InputError(f"malformed alternative parameter {chunk!r} in {text!r}")
-            params[key.strip()] = float(val)
-    else:
-        name, params = text, {}
+    name, _, rest = text.partition(":")
     name = name.strip().lower()
     if name == "vmf":
         name = "vmf1"
+    params = {}
+    for chunk in rest.split(","):
+        if not chunk:
+            continue
+        key, _, val = chunk.partition("=")
+        if not val:
+            raise InputError(f"malformed alternative parameter {chunk!r} in {text!r}")
+        try:
+            params[key.strip()] = float(val)
+        except ValueError:
+            raise InputError(f"preset {name!r}: {key.strip()}={val!r} is not a number") from None
     label = text if params else name
     return label, preset(name, d, **params)

@@ -19,7 +19,7 @@ from maxproj.kernels import ZonalKernel
 from maxproj.legendre import harmonic_dim, legendre_eval, psi
 from maxproj.limits import quantile_stderr, simulate_harmonic_max, simulate_kernel_max
 from maxproj.rng import NS_POWER, stream
-from maxproj.samplers import preset, sample, two_center_mix
+from maxproj.samplers import MixtureVMF, VonMisesFisher, preset, sample
 from maxproj.special import vmf_mean_resultant
 from maxproj.statistics import max_projection_values, t1_closed, t2_closed
 from oracles import shift_value, sphere_quadrature
@@ -303,7 +303,8 @@ def test_c11_sampler_fidelity(acceptance):
         "vmf": (preset("vmf1", d, kappa=1.0), e1, vmf_density(1.0)),
         "watson": (preset("uniform", d), e1, None),  # placeholder, replaced below
         "bingham": (preset("bing1", d, kappa=0.5), e3, bingham_density(a_diag)),
-        "mixvmf": (two_center_mix(0.35, -e1, e1, 1.0, 4.0), e1, mix_density(0.35, 1.0, 4.0)),
+        "mixvmf": (MixtureVMF((0.35, 1.0 - 0.35), (VonMisesFisher(-e1, 1.0), VonMisesFisher(e1, 4.0))),
+                   e1, mix_density(0.35, 1.0, 4.0)),
         "lp": (preset("lp", d, m=3, kappa=1.0), e1, profile_density(3, 1.0)),
     }
     from maxproj.samplers import Watson

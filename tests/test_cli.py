@@ -217,12 +217,26 @@ def test_exit_codes(tmp_path, capsys):
     ["limit", "--method", "harmonic", "--cover-m", "1"],
     ["critvals", "--n", "inf", "--cover-m", "2"],
     ["critvals", "--n", "inf*", "--cover-m", "2"],
-], ids=["limit-kernel", "limit-harmonic", "critvals-inf", "critvals-inf*"])
+    ["critvals", "--n", "20", "--beta", "3", "--cover-m", "2"],
+    ["power", "--n", "20", "--beta", "3", "--cover-m", "2", "--alt", "vmf:kappa=1"],
+], ids=["limit-kernel", "limit-harmonic", "critvals-inf", "critvals-inf*", "critvals-20",
+        "power-20"])
 def test_limit_cover_smaller_than_d_is_a_usage_error(args, capsys):
     code, out, err = run_cli(args + ["--d", "3", "--reps", "10"], capsys)
     assert code == 1
     assert out == ""
     assert "must be at least d = 3" in err
+
+
+def test_data_cover_smaller_than_d_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "x3.csv"
+    rows = uniform_points(3, 15, stream(8)).tolist()
+    path.write_text("x1,x2,x3\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    code, out, err = run_cli(["test", "--data", str(path), "--beta", "3", "--cover-m", "2",
+                              "--reps", "10"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "maxproj: error: cover size 2 must be at least d = 3\n"
 
 
 def run_module(args):
@@ -260,6 +274,8 @@ def test_negative_seed_or_size_is_a_usage_error(args, message):
     "vmf:kappa=inf",
     "bing1:kappa=nan",
     "lp:m=2.5,kappa=1",  # non-integer order
+    "vmf:kappa=abc",  # non-numeric value
+    "vmf:kappa=1=2",
 ])
 def test_bad_alternative_spec_is_a_usage_error(spec):
     proc = run_module(["power", "--d", "3", "--n", "30", "--reps", "10", "--power-reps", "10",
@@ -267,6 +283,15 @@ def test_bad_alternative_spec_is_a_usage_error(spec):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("maxproj: error: preset")
+
+
+@pytest.mark.parametrize("spec", ["lp:m=100,kappa=1", "lp:m=1e30,kappa=1"])
+def test_profile_order_above_the_cap_is_a_usage_error(spec, capsys):
+    code, out, err = run_cli(["power", "--d", "3", "--beta", "1", "2", "--reps", "10",
+                              "--power-reps", "10", "--alt", spec], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("maxproj: error: profile order must lie in 1..20, got ")
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path):
@@ -327,7 +352,7 @@ def fuzz_data(tmp_path_factory):
     power_reps=st.integers(-1, 5),
     alts=st.lists(st.sampled_from(["uniform", "vmf:kappa=1", "mixvmf2:p=0.5", "bing1:kappa=1",
                                    "lp:m=3,kappa=1", "vmf:kappa=-1", "lp:m=3,kappa=2",
-                                   "nosuch:kappa=1"]),
+                                   "nosuch:kappa=1", "vmf:kappa=abc", "vmf:kappa=1=2"]),
                   min_size=1, max_size=2),
     data=st.sampled_from(["good", "malformed"]),
     min_diameter=st.sampled_from([None, "-1", "0", "150", "nan"]),

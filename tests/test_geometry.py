@@ -12,7 +12,7 @@ from maxproj.geometry import (
     uniform_points,
 )
 from maxproj.legendre import psi
-from maxproj.rng import stream
+from maxproj.rng import NS_COVER, stream
 from oracles import random_rotation
 
 
@@ -109,6 +109,13 @@ def test_make_cover_covering_radius_circle():
     ang = np.sort(np.mod(np.arctan2(cover[:, 1], cover[:, 0]), 2 * math.pi))
     gaps = np.diff(np.append(ang, ang[0] + 2 * math.pi))
     assert gaps.max() / 2.0 <= 0.01
+
+
+@pytest.mark.parametrize("d, m", [(2, 7), (3, 500), (10, 40)])
+def test_make_cover_takes_a_generator_or_an_int(d, m):
+    assert np.array_equal(make_cover(d, m, stream(4, 2, 9)),
+                          uniform_points(d, m, stream(4, 2, 9)))
+    assert np.array_equal(make_cover(d, m, 17), uniform_points(d, m, stream(17, NS_COVER)))
 
 
 def test_make_cover_size_preconditions():

@@ -15,6 +15,7 @@ from maxproj.legendre import (
     psi_exact,
 )
 from maxproj.rng import stream
+from maxproj.samplers import MAX_PROFILE_ORDER
 from oracles import check_expansion_nonnegative, legendre_norm2, weighted_inner
 
 DIMS = (2, 3, 5, 10)
@@ -114,6 +115,16 @@ def test_bounded_by_one_on_grid():
     for d in DIMS:
         for k in range(13):
             assert np.max(np.abs(legendre_eval(d, k, t))) <= 1.0 + 1e-12
+
+
+def test_float_evaluation_stays_bounded_up_to_the_highest_profile_order():
+    # LegendreProfile caps its order where the float monomial form of P_m
+    # stops staying within 1e-10 of [-1, 1]: the first excess is at m = 23, d = 2
+    t = np.linspace(-1, 1, 200_001)
+    for d in range(2, 41):
+        for m in range(1, MAX_PROFILE_ORDER + 1):
+            assert np.max(np.abs(legendre_eval(d, m, t))) <= 1.0 + 5.9e-11, (d, m)
+    assert np.max(np.abs(legendre_eval(2, 23, t))) > 1.0 + 1e-10
 
 
 def test_parity_exact_in_rationals():

@@ -20,8 +20,6 @@ from maxproj.samplers import (
     parse_alternative,
     preset,
     sample,
-    three_center_mix,
-    two_center_mix,
 )
 from maxproj.special import watson_mean_square
 
@@ -165,7 +163,9 @@ def test_bingham_tuning_solves_its_equation_once(shifted):
 
 
 def test_mixture_component_weights():
-    spec = three_center_mix(0.25, E1_3, np.array([0, 1.0, 0]), np.array([0, 0, 1.0]), 8.0, 8.0, 8.0)
+    spec = MixtureVMF((0.25, 0.25, 0.5), (VonMisesFisher(E1_3, 8.0),
+                                          VonMisesFisher(np.array([0, 1.0, 0]), 8.0),
+                                          VonMisesFisher(np.array([0, 0, 1.0]), 8.0)))
     x = sample(spec, 40_000, stream(12))
     # with kappa = 8 the three caps are well separated
     labels = np.argmax(x @ np.eye(3).T, axis=1)
@@ -198,6 +198,28 @@ def test_parse_alternative_strings():
         parse_alternative("nosuch:a=1", 3)
 
 
+@pytest.mark.parametrize("weights", [(math.nan, math.nan), (0.5, math.nan),
+                                     (math.nan, 1.0), (math.inf, 0.5)])
+def test_mixture_rejects_weights_that_are_not_positive_numbers(weights):
+    components = (VonMisesFisher(E1_3, 1.0), VonMisesFisher(-E1_3, 1.0))
+    with pytest.raises(InputError, match="weights must be positive and sum to 1"):
+        MixtureVMF(weights, components)
+
+
+@pytest.mark.parametrize("text", ["mixvmf1:p=0", "mixvmf2:p=1", "mixvmf2:p=1.5",
+                                  "mixvmf3:p=0.5", "mixvmf4:p=0.7", "mixvmf4:p=-0.1"])
+def test_mixture_presets_reject_a_weight_at_or_below_zero(text):
+    with pytest.raises(InputError, match="weights must be positive"):
+        parse_alternative(text, 3)
+
+
+def test_profile_order_is_capped():
+    assert LegendreProfile(samplers.MAX_PROFILE_ORDER, E1_3, 1.0).m == 20
+    for m in (0, 21, 100):
+        with pytest.raises(InputError, match=r"profile order must lie in 1\.\.20"):
+            LegendreProfile(m, E1_3, 1.0)
+
+
 def test_spec_validation():
     with pytest.raises(InputError):
         LegendreProfile(3, E1_3, 1.5)
@@ -206,6 +228,6 @@ def test_spec_validation():
     with pytest.raises(InputError):
         Bingham(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(InputError):
-        two_center_mix(1.5, E1_3, -E1_3, 1.0, 1.0)
+        MixtureVMF((1.5, 1.0 - 1.5), (VonMisesFisher(E1_3, 1.0), VonMisesFisher(-E1_3, 1.0)))
     with pytest.raises(InputError):
-        three_center_mix(0.7, E1_3, E1_3, E1_3, 1.0, 1.0, 1.0)
+        MixtureVMF((0.7, 0.7, 1.0 - 2.0 * 0.7), (VonMisesFisher(E1_3, 1.0),) * 3)
