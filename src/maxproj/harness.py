@@ -3,10 +3,11 @@
 Replication r of any simulation derives its random streams from
 ``(master_seed, namespace, r, substream)``, so results are independent of how
 replications are distributed over worker processes and identical runs produce
-byte-identical output files.  Every sample is a :func:`~maxproj.samplers.sample`
-draw, the null ones from ``Uniform(d)``, and every cover a
-:func:`~maxproj.geometry.make_cover` draw: one fresh cover per replication,
-and for an observed dataset its own seeded cover, recorded in the output.
+byte-identical output files.  Null samples are uniform draws and alternative
+samples :func:`~maxproj.samplers.sample` draws.  Every cover is a
+:func:`~maxproj.geometry.make_cover` draw from its own stream: one fresh cover
+per replication, and for an observed dataset its own seeded cover, recorded
+in the output.
 
 Each command hands all of its simulations to :func:`run_jobs` at once, so it
 forks at most one worker pool, after the parent process has imported
@@ -32,10 +33,10 @@ import numpy as np
 from . import __version__
 from ._errors import DataError, InputError
 from .bahadur import STUDY_DIMS, are_table
-from .geometry import latlon_to_unit, make_cover, normalize_rows
+from .geometry import latlon_to_unit, make_cover, normalize_rows, uniform_points
 from .limits import limit_quantile, quantile_stderr
 from .rng import NS_NULL, NS_POWER, NS_TEST, stream
-from .samplers import Uniform, parse_alternative, sample
+from .samplers import parse_alternative, sample
 from .statistics import (
     _pairwise_angles,
     ca_statistic,
@@ -98,11 +99,18 @@ def evaluate_battery(x, betas, cover_points=None, rng_ca=None, competitors=True)
 
 
 def _replicate_one(task, r):
-    seed, ns = task["seed"], task["ns"]
-    x = sample(task["alt"], task["n"], stream(seed, *ns, r, 0))
+    d, n = task["d"], task["n"]
+    seed = task["seed"]
+    ns = task["ns"]
+    alt = task.get("alt")
+    x = (
+        uniform_points(d, n, stream(seed, *ns, r, 0))
+        if alt is None
+        else sample(alt, n, stream(seed, *ns, r, 0))
+    )
     cover = None
     if any(b > 2 for b in task["betas"]):
-        cover = make_cover(task["d"], task["m"], stream(seed, *ns, r, 1))
+        cover = make_cover(d, task["m"], stream(seed, *ns, r, 1))
     rng_ca = stream(seed, *ns, r, 2) if task["competitors"] else None
     return evaluate_battery(
         x,
@@ -225,12 +233,11 @@ class RunConfig:
         return self.cover_m if self.cover_m is not None else default_cover_m(self.d)
 
 
-def _task(config, n, ns, alt, competitors=False):
-    """Replication task: ``n``-point samples from the spec ``alt``, streams ``ns``.
+def _task(config, n, ns, alt=None, competitors=False):
+    """Replication task: ``n``-point samples from ``alt`` (None: uniform), streams ``ns``.
 
-    Replication r draws its sample by :func:`sample` from ``(seed, *ns, r, 0)``
-    and, when a power is 3 or more, its cover by :func:`make_cover` from
-    ``(seed, *ns, r, 1)``.  Null tasks carry ``Uniform(d)``.
+    Replication r draws its sample from ``(seed, *ns, r, 0)`` and, when a
+    power is 3 or more, its cover by :func:`make_cover` from ``(seed, *ns, r, 1)``.
     """
     return {"d": config.d, "n": n, "betas": tuple(config.betas), "m": config.m,
             "seed": config.seed, "ns": ns, "alt": alt, "competitors": competitors}
@@ -238,8 +245,7 @@ def _task(config, n, ns, alt, competitors=False):
 
 def _null_job(config, n, competitors=False):
     """Null-simulation job of sample size ``n`` for :func:`run_jobs`."""
-    return (_task(config, n, (NS_NULL, n), Uniform(config.d), competitors),
-            config.null_replications)
+    return _task(config, n, (NS_NULL, n), competitors=competitors), config.null_replications
 
 
 def simulate_null(config, n, competitors=False):
@@ -347,7 +353,9 @@ def cmd_test(config):
     x, report = ingest(config.data, min_diameter=config.min_diameter)
     n, d = x.shape
     null_config = replace(config, d=d, n=(n,))
-    cover = make_cover(d, null_config.m, stream(config.seed, NS_TEST, 0))
+    cover = None
+    if any(b > 2 for b in config.betas):
+        cover = make_cover(d, null_config.m, stream(config.seed, NS_TEST, 0))
     observed = evaluate_battery(x, config.betas, cover_points=cover, competitors=False)
     nulls = simulate_null(null_config, n)
     rows = []
@@ -360,7 +368,7 @@ def cmd_test(config):
                 "value": observed[name],
                 "pvalue": mc_pvalue(nulls[name], observed[name]),
                 "null_replications": config.null_replications,
-                "cover_m": cover.shape[0],
+                "cover_m": null_config.m,
                 "cover_seed": config.seed,
                 "rows_read": report.rows_read,
                 "rows_kept": report.rows_kept,

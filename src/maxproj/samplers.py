@@ -320,15 +320,19 @@ def _a2(d):
     return out
 
 
-def _vmf_mixture(d, kw):
-    """mixvmf1..4: weights (p, 1-p) on -e1, e1, or (p, p, 1-2p) on three centers given k3."""
+def _mix2(d, kw):
+    """mixvmf1/mixvmf2: weights (p, 1-p) on vMF(-e1, k1) and vMF(e1, k2)."""
     p = kw["p"]
-    if "k3" in kw:
-        weights, centers = (p, p, 1.0 - 2.0 * p), (_theta2(d), _theta3(d), _theta1(d))
-    else:
-        weights, centers = (p, 1.0 - p), (-_theta1(d), _theta1(d))
-    kappas = [kw[k] for k in ("k1", "k2", "k3") if k in kw]
-    return MixtureVMF(weights, tuple(map(VonMisesFisher, centers, kappas)))
+    return MixtureVMF((p, 1.0 - p), (VonMisesFisher(-_theta1(d), kw["k1"]),
+                                     VonMisesFisher(_theta1(d), kw["k2"])))
+
+
+def _mix3(d, kw):
+    """mixvmf3/mixvmf4: weights (p, p, 1-2p) on vMF(theta2, k1), vMF(theta3, k2), vMF(e1, k3)."""
+    p = kw["p"]
+    return MixtureVMF((p, p, 1.0 - 2.0 * p), (VonMisesFisher(_theta2(d), kw["k1"]),
+                                              VonMisesFisher(_theta3(d), kw["k2"]),
+                                              VonMisesFisher(_theta1(d), kw["k3"])))
 
 
 #: preset -> (required keys, optional keys with their defaults, builder of the
@@ -336,10 +340,10 @@ def _vmf_mixture(d, kw):
 PRESETS = {
     "uniform": ((), {}, lambda d, kw: Uniform(d)),
     "vmf1": (("kappa",), {}, lambda d, kw: VonMisesFisher(_theta1(d), kw["kappa"])),
-    "mixvmf1": (("p",), {"k1": 1.0, "k2": 1.0}, _vmf_mixture),
-    "mixvmf2": (("p",), {"k1": 1.0, "k2": 4.0}, _vmf_mixture),
-    "mixvmf3": (("p",), {"k1": 2.0, "k2": 3.0, "k3": 3.0}, _vmf_mixture),
-    "mixvmf4": (("p",), {"k1": 2.0, "k2": 3.0, "k3": 4.0}, _vmf_mixture),
+    "mixvmf1": (("p",), {"k1": 1.0, "k2": 1.0}, _mix2),
+    "mixvmf2": (("p",), {"k1": 1.0, "k2": 4.0}, _mix2),
+    "mixvmf3": (("p",), {"k1": 2.0, "k2": 3.0, "k3": 3.0}, _mix3),
+    "mixvmf4": (("p",), {"k1": 2.0, "k2": 3.0, "k3": 4.0}, _mix3),
     "bing1": (("kappa",), {}, lambda d, kw: Bingham(kw["kappa"] * _a1(d))),
     "bing2": (("kappa",), {}, lambda d, kw: Bingham(kw["kappa"] * _a2(d))),
     "lp": (("m", "kappa"), {}, lambda d, kw: LegendreProfile(
@@ -355,7 +359,8 @@ def preset(name, d, **params):
     lp(m, kappa); uniform.  :data:`PRESETS` lists each one's required and
     optional keys.  A missing or unknown key, a non-finite value, an ``m``
     that is not an integer in 1..:data:`MAX_PROFILE_ORDER` or a ``p`` that
-    leaves a mixture weight at or below 0 raises :class:`InputError`.
+    leaves a mixture weight at or below 0 raises :class:`InputError`, its
+    message prefixed with the preset's name.
     """
     name = name.lower()
     if name not in PRESETS:
@@ -373,7 +378,10 @@ def preset(name, d, **params):
             raise InputError(f"preset {name!r} needs the parameter {key!r}")
     if name == "lp" and params["m"] != int(params["m"]):
         raise InputError(f"preset 'lp': the order m must be an integer, got {params['m']}")
-    return build(d, {**optional, **params})
+    try:
+        return build(d, {**optional, **params})
+    except InputError as err:
+        raise InputError(f"preset {name!r}: {err}") from None
 
 
 def parse_alternative(text, d):

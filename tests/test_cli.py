@@ -232,11 +232,16 @@ def test_data_cover_smaller_than_d_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "x3.csv"
     rows = uniform_points(3, 15, stream(8)).tolist()
     path.write_text("x1,x2,x3\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
-    code, out, err = run_cli(["test", "--data", str(path), "--beta", "3", "--cover-m", "2",
-                              "--reps", "10"], capsys)
+    args = ["test", "--data", str(path), "--cover-m", "2", "--reps", "10", "--beta"]
+    code, out, err = run_cli(args + ["3"], capsys)
     assert code == 1
     assert out == ""
     assert err == "maxproj: error: cover size 2 must be at least d = 3\n"
+    # without a power of 3 or more no cover is drawn, as in the null replications
+    code, out, err = run_cli(args + ["1", "2"], capsys)
+    assert code == 0
+    assert err == ""
+    assert {r["cover_m"] for r in csv.DictReader(io.StringIO(out))} == {"2"}
 
 
 def run_module(args):
@@ -276,6 +281,8 @@ def test_negative_seed_or_size_is_a_usage_error(args, message):
     "lp:m=2.5,kappa=1",  # non-integer order
     "vmf:kappa=abc",  # non-numeric value
     "vmf:kappa=1=2",
+    "lp:m=100,kappa=1",  # order above the cap
+    "lp:m=1e30,kappa=1",
 ])
 def test_bad_alternative_spec_is_a_usage_error(spec):
     proc = run_module(["power", "--d", "3", "--n", "30", "--reps", "10", "--power-reps", "10",
@@ -283,15 +290,6 @@ def test_bad_alternative_spec_is_a_usage_error(spec):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("maxproj: error: preset")
-
-
-@pytest.mark.parametrize("spec", ["lp:m=100,kappa=1", "lp:m=1e30,kappa=1"])
-def test_profile_order_above_the_cap_is_a_usage_error(spec, capsys):
-    code, out, err = run_cli(["power", "--d", "3", "--beta", "1", "2", "--reps", "10",
-                              "--power-reps", "10", "--alt", spec], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("maxproj: error: profile order must lie in 1..20, got ")
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path):

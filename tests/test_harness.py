@@ -24,7 +24,7 @@ from maxproj.harness import (
     write_rows,
 )
 from maxproj.rng import stream
-from maxproj.samplers import Uniform, VonMisesFisher, sample
+from maxproj.samplers import VonMisesFisher, sample
 
 
 def small_config(**kw):
@@ -94,7 +94,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, replicati
 
     monkeypatch.setattr(harness, "get_context", lambda method: SimpleNamespace(Pool=Pool))
     task = {"d": 2, "n": 5, "betas": (1,), "m": 10, "seed": 1, "ns": (0, 5),
-            "alt": Uniform(2), "competitors": False}
+            "competitors": False}
     serial = harness.run_replications(task, replications)["T1"]
     assert np.array_equal(run_on(64, workers, replications)["T1"], serial)
     assert started == [processes]
@@ -116,10 +116,9 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, replicati
 
 _CVM_TABLE_PROBE = """
 import maxproj.harness as harness
-from maxproj.samplers import Uniform
 from maxproj.statistics import _cvm_kernel_table
 
-task = {"d": 10, "n": 12, "betas": (1,), "m": 10, "seed": 3, "ns": (0, 12), "alt": Uniform(10),
+task = {"d": 10, "n": 12, "betas": (1,), "m": 10, "seed": 3, "ns": (0, 12), "alt": None,
         "competitors": True}
 harness.run_jobs([(task, 128)], 2)
 print(_cvm_kernel_table.cache_info().currsize)

