@@ -12,11 +12,14 @@ For the three families treated here the limit has the closed form
 lambda_k nu_d(k) / sum lambda_j nu_d(j), where k = 1 (von Mises-Fisher),
 k = 2 (Watson) and k = m (the order-m Legendre-profile class).
 
-gamma_kappa is zonal in s = cos(angle to the symmetry axis), so maxima are
-taken over a dense grid of s in [-1, 1] (or over the cosines of a supplied
-direction cover).  The exponential families use the closed-form Legendre
-means E_kappa P_j(theta . X), Bessel ratios for von Mises-Fisher and confluent
-hypergeometric ratios for Watson; the profile class is exactly linear in kappa.
+gamma_kappa is zonal in s = cos(angle to the symmetry axis), and all of its
+Legendre weights are nonnegative, so its largest square over the sphere is
+taken on the axis, s = 1; over a supplied direction cover, which does not
+contain the axis, the maximum is taken over the cover's cosines.  The
+exponential families use the closed-form Legendre means E_kappa P_j(theta . X),
+Bessel ratios for von Mises-Fisher and confluent hypergeometric ratios for
+Watson, which one helper evaluates together with the log normalizing
+constant; the profile class is exactly linear in kappa.
 """
 
 import math
@@ -32,10 +35,6 @@ from .legendre import (
     power_expansion,
     psi,
 )
-from .special import vmf_mean_resultant, vmf_norm_ratio, watson_mean_square, watson_norm_ratio
-
-#: cosines of the dense grid over which gamma_kappa is maximized
-_GRID_SIZE = 4001
 
 ALTERNATIVES = ("vmf", "watson", "lp")
 
@@ -54,50 +53,86 @@ def _order(alt, m):
 
 
 # ---------------------------------------------------------------------------
+# the exponential families in closed form
+
+
+def _family(alt, beta, d, kappa):
+    """E_kappa P_j(theta . X), j = 0..beta, and KL(kappa, 0), under the vMF or Watson family.
+
+    Each family is exp(kappa T) / c(kappa) with c normalized by the sphere
+    area, so KL(kappa, 0) = kappa E T - log c(kappa).  vMF: T = t,
+    E P_j = I_{j+nu}(kappa) / I_nu(kappa) with nu = d/2 - 1, and
+    c = 0F1(d/2; kappa^2/4).  Watson: T = t^2, c = M(1/2, d/2, kappa), and the
+    even moments E t^{2l} = psi_d(2l) M(l+1/2, d/2+l, kappa) / c are combined
+    through the monomial coefficients of P_j.  Exact at kappa = 0; raises
+    NumericalError once any of these overflows.
+    """
+    from scipy import special as sps
+
+    out = np.zeros(beta + 1)
+    out[0] = 1.0
+    if kappa == 0.0:
+        return out, 0.0
+    if alt == "vmf":
+        nu = d / 2.0 - 1.0
+        out[1:] = sps.ive(np.arange(1, beta + 1) + nu, kappa) / sps.ive(nu, kappa)
+        norm = sps.hyp0f1(d / 2.0, 0.25 * kappa * kappa)
+        mean_stat = out[1]
+    else:
+        moments = np.zeros(max(beta, 2) + 1)
+        l = np.arange(len(moments[::2]))
+        norm = sps.hyp1f1(0.5, d / 2.0, kappa)
+        ratio = sps.hyp1f1(l + 0.5, d / 2.0 + l, kappa)
+        with np.errstate(invalid="ignore"):  # inf / inf once 1F1 overflows, caught below
+            ratio /= norm
+        moments[::2] = [psi(d, 2 * i) for i in l] * ratio
+        for j in range(1, beta + 1):
+            out[j] = sum(float(a) * moments[i] for i, a in enumerate(monomial_coefficients(d, j)))
+        mean_stat = moments[2]
+    # past the float range scipy's 0F1(1; x) returns 0 instead of inf
+    kl = mean_stat * kappa - (math.log(norm) if norm > 0.0 else math.inf)
+    if not (np.all(np.isfinite(out)) and math.isfinite(kl)):
+        raise NumericalError(f"{alt} moments or normalizing constant overflow at kappa = {kappa}")
+    return out, float(kl)
+
+
+# ---------------------------------------------------------------------------
 # Kullback-Leibler numbers
 
 
 def kl_divergence(alt, d, kappa, m=None):
     """KL(kappa, 0) against uniformity for the given alternative class.
 
-    The exponential families use their closed forms; the profile class is
-    integrated directly with the linear term removed analytically (it
-    integrates to zero), which keeps small-kappa values cancellation-free.
+    The exponential families read kappa E T - log c(kappa) from their closed
+    forms.  The profile class is one quadrature against the weight
+    (1-t^2)^{(d-3)/2}, QUADPACK's algebraic-endpoint rule, which also covers
+    the singular d = 2 weight; the linear term of the integrand is removed
+    analytically (it integrates to zero), which keeps small-kappa values
+    cancellation-free.
     """
     _check_alt(alt, m)
-    if kappa <= 0:
-        raise InputError("kappa must be > 0")
-    if alt == "vmf":
-        return vmf_mean_resultant(d, kappa) * kappa - math.log(vmf_norm_ratio(d, kappa))
-    if alt == "watson":
-        return watson_mean_square(d, kappa) * kappa - math.log(watson_norm_ratio(d, kappa))
+    if not 0.0 < kappa < math.inf:
+        raise InputError(f"kappa must be finite and > 0, got {kappa}")
+    if alt != "lp":
+        return _family(alt, 1, d, kappa)[1]
     if kappa > 1.0:
         raise InputError("profile-class kappa must lie in (0, 1]")
     from scipy import integrate
 
-    def bump(x):
-        # (1+x) log(1+x) - x; the linear term of the integrand is removed
-        # analytically (it integrates to zero), so small kappa stays exact
-        y = 1.0 + x
-        if y <= 0.0:
+    def bump(t):
+        # (1+x) log(1+x) - x at x = kappa P_m(t), with log1p so that the
+        # O(x^2) value keeps its relative accuracy as kappa -> 0
+        x = kappa * legendre_eval(d, m, t)
+        if x <= -1.0:
             return 1.0
-        return y * math.log(y) - x
+        return (1.0 + x) * math.log1p(x) - x
 
-    if d == 2:
-        def integrand(phi):
-            return bump(kappa * float(legendre_eval(d, m, math.cos(phi))))
-
-        val, err = integrate.quad(integrand, 0.0, math.pi, epsabs=1e-13, epsrel=1e-10, limit=400)
-        val /= math.pi
-    else:
-        p = (d - 3) / 2.0
-
-        def integrand(t):
-            return bump(kappa * float(legendre_eval(d, m, t))) * (1.0 - t * t) ** p
-
-        val, err = integrate.quad(integrand, -1.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=400)
-        val *= math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
-    if err > max(1e-10, 1e-6 * abs(val)):
+    # a purely relative target: the value is about kappa^2 / (2 nu_d(m))
+    p = (d - 3) / 2.0
+    val, err = integrate.quad(bump, -1.0, 1.0, weight="alg", wvar=(p, p),
+                              epsabs=0.0, epsrel=1e-9, limit=400)
+    val *= math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
+    if err > 1e-6 * val:
         raise NumericalError(f"profile KL quadrature error {err:.2e}")
     return float(val)
 
@@ -106,47 +141,17 @@ def kl_divergence(alt, d, kappa, m=None):
 # shift profiles gamma_kappa
 
 
-def _legendre_means(alt, beta, d, kappa):
-    """E_kappa P_j(theta . X), j = 0..beta, under the vMF or Watson family.
-
-    vMF: I_{j+nu}(kappa) / I_nu(kappa) with nu = d/2 - 1.  Watson: the even
-    moments E t^{2l} = psi_d(2l) M(l+1/2, d/2+l, kappa) / M(1/2, d/2, kappa),
-    combined through the monomial coefficients of P_j.  Exact at kappa = 0.
-    """
-    from scipy import special as sps
-
-    out = np.zeros(beta + 1)
-    out[0] = 1.0
-    if kappa == 0.0:
-        return out
-    if alt == "vmf":
-        nu = d / 2.0 - 1.0
-        out[1:] = sps.ive(np.arange(1, beta + 1) + nu, kappa) / sps.ive(nu, kappa)
-    else:
-        moments = np.zeros(beta + 1)
-        l = np.arange(beta // 2 + 1)
-        ratio = sps.hyp1f1(l + 0.5, d / 2.0 + l, kappa)
-        with np.errstate(invalid="ignore"):  # inf / inf once 1F1 overflows, caught below
-            ratio /= sps.hyp1f1(0.5, d / 2.0, kappa)
-        moments[::2] = [psi(d, 2 * i) for i in l] * ratio
-        for j in range(1, beta + 1):
-            out[j] = sum(float(a) * moments[i] for i, a in enumerate(monomial_coefficients(d, j)))
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(f"{alt} moments overflow at kappa = {kappa}")
-    return out
-
-
 def gamma_profile(alt, beta, d, kappa, s, m=None):
     """gamma_kappa as a function of s = cos(angle to the symmetry axis)."""
     _check_alt(alt, m)
-    if kappa < 0:
-        raise InputError("kappa must be >= 0")
+    if not 0.0 <= kappa < math.inf:
+        raise InputError(f"kappa must be finite and >= 0, got {kappa}")
     s = np.asarray(s, dtype=float)
     if alt == "lp":
         amp = float(shift_amplitude_exact(beta, d, m))
         return kappa * amp * legendre_eval(d, m, s)
     # the j = 0 term is psi_d(beta), the uniform moment that gamma subtracts
-    means = _legendre_means(alt, beta, d, kappa)
+    means = _family(alt, beta, d, kappa)[0]
     total = np.zeros_like(s)
     for j, c in enumerate(power_expansion(d, beta)[1:], start=1):
         cw = float(c) * means[j]
@@ -156,9 +161,17 @@ def gamma_profile(alt, beta, d, kappa, s, m=None):
 
 
 def gamma_shift(alt, beta, d, kappa, cover=None, m=None):
-    """max_b gamma_kappa(b)^2, over an ``(m, d)`` cover array or a dense cosine grid."""
+    """max_b gamma_kappa(b)^2 over the sphere, or over an ``(m, d)`` cover array.
+
+    gamma_kappa(s) = sum_j w_j P_j(s) with every weight w_j >= 0: t^beta,
+    exp(kappa t) and exp(kappa t^2) all have nonnegative Legendre
+    coefficients, and the profile class has the single weight
+    kappa c_m / nu_d(m).  Since |P_j(s)| <= P_j(1) = 1, the maximum over the
+    sphere is gamma_kappa(1)^2, taken on the axis.  A cover does not contain
+    the axis, so its maximum is taken over its cosines.
+    """
     if cover is None:
-        s = np.linspace(-1.0, 1.0, _GRID_SIZE)
+        s = 1.0
     else:
         pts = np.asarray(cover, dtype=float)
         axis = np.zeros(pts.shape[1])

@@ -21,7 +21,6 @@ import numpy as np
 from ._errors import InputError
 from .legendre import (
     harmonic_dim,
-    horner,
     monomial_coefficients,
     polynomial_eval,
     power_expansion,
@@ -79,7 +78,15 @@ class ZonalKernel:
     def gram(self, points):
         """Covariance matrix [rho(b_i . b_j)] for an (m, d) array of directions."""
         pts = np.asarray(points, dtype=float)
-        return horner(self._rho_monomial, np.clip(pts @ pts.T, -1.0, 1.0))
+        t = np.clip(pts @ pts.T, -1.0, 1.0)
+        # Horner's rule in place: the (m, m) matrix is the largest array of the
+        # kernel limit route, and polyval's temporaries would hold another one
+        coeffs = self._rho_monomial
+        out = np.full_like(t, coeffs[-1])
+        for a in coeffs[-2::-1]:
+            out *= t
+            out += a
+        return out
 
 
 def shift_amplitude_exact(beta, d, m):

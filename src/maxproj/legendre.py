@@ -13,7 +13,8 @@ Key objects
 -----------
 ``monomial_coefficients(d, k)``  exact coefficients of P_k
 ``power_expansion(d, m)``        exact coefficients of t^m = sum_j c_j P_j
-``polynomial_eval(coeffs, t)``   Horner evaluation of float monomial coefficients
+``polynomial_eval(coeffs, t)``   Horner evaluation (``numpy`` ``polyval``) of float
+                                 monomial coefficients on [-1, 1]
 ``psi(d, beta)``                 moment of a fixed projection of a uniform
                                  direction, E (b.U)^beta
 ``harmonic_dim(d, k)``           dimension of the order-k spherical-harmonic
@@ -73,20 +74,12 @@ def _monomial_floats(d, k):
     return np.array([float(a) for a in monomial_coefficients(d, k)])
 
 
-def horner(coeffs, t):
-    """sum_i coeffs[i] t^i at a float array ``t``, by Horner's rule; no domain check."""
-    out = np.full_like(t, coeffs[-1], dtype=float)
-    for a in coeffs[-2::-1]:
-        out = out * t + a
-    return out
-
-
 def polynomial_eval(coeffs, t):
     """Float monomial coefficients ``coeffs`` evaluated on scalars or arrays in [-1, 1]."""
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-12):
         raise InputError("argument outside [-1, 1]")
-    out = horner(coeffs, t)
+    out = np.polynomial.polynomial.polyval(t, coeffs)
     return out if out.ndim else float(out)
 
 

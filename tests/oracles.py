@@ -2,8 +2,9 @@
 
 Each one computes a quantity of the package by a second route: surface
 quadrature on S^1 and S^2, the weighted Legendre inner product, the exact
-moment series of the projection integrals, a Haar rotation for invariance
-checks and the plain Kolmogorov-Smirnov distance that ``ca_statistic``
+moment series of the projection integrals, the closed-form vMF mean
+resultant and Watson second moment, a Haar rotation for invariance checks
+and the plain Kolmogorov-Smirnov distance that ``ca_statistic``
 vectorizes.  Tests import them as ``from oracles import ...``.
 """
 
@@ -165,6 +166,24 @@ def funk_hecke_check(d, k, profile, u, theta=None):
     inner = weighted_inner(lambda t: legendre_eval(d, k, t), profile, d)
     rhs = surface_area(d - 1) * inner * float(legendre_eval(d, k, float(u @ theta)))
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# concentration families
+
+
+def vmf_mean_resultant(d, kappa):
+    """A_d(kappa) = E theta . X = I_{d/2}(kappa) / I_{d/2-1}(kappa) under vMF(theta, kappa)."""
+    from scipy import special as sps
+
+    return float(sps.ive(d / 2.0, kappa) / sps.ive(d / 2.0 - 1.0, kappa))
+
+
+def watson_mean_square(d, kappa):
+    """D_d(kappa) = E (theta . X)^2 = M(3/2, d/2+1, kappa) / (d M(1/2, d/2, kappa)) under Watson."""
+    from scipy import special as sps
+
+    return float(sps.hyp1f1(1.5, d / 2.0 + 1.0, kappa) / (d * sps.hyp1f1(0.5, d / 2.0, kappa)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ from maxproj.legendre import harmonic_dim, legendre_eval, psi
 from maxproj.limits import quantile_stderr, simulate_harmonic_max, simulate_kernel_max
 from maxproj.rng import NS_POWER, stream
 from maxproj.samplers import MixtureVMF, VonMisesFisher, preset, sample
-from maxproj.special import vmf_mean_resultant
 from maxproj.statistics import max_projection_values, t1_closed, t2_closed
-from oracles import shift_value, sphere_quadrature
+from oracles import shift_value, sphere_quadrature, vmf_mean_resultant
 from test_kernels import eigenvalues_closed, rho_closed
 
 pytestmark = pytest.mark.acceptance

@@ -18,8 +18,7 @@ from maxproj.kernels import ZonalKernel, shift_amplitude_exact
 from maxproj.legendre import harmonic_dim, legendre_eval, power_expansion
 from maxproj.rng import stream
 from maxproj.samplers import LegendreProfile, sample
-from maxproj.special import vmf_mean_resultant
-from oracles import delta_ratio
+from oracles import delta_ratio, vmf_mean_resultant
 
 DIMS = (2, 3, 5, 10)
 
@@ -95,6 +94,38 @@ def test_kl_input_validation():
         kl_divergence("lp", 3, 0.5)
     with pytest.raises(InputError):
         kl_divergence("lp", 3, 1.5, m=2)
+    for kappa in (math.nan, math.inf):
+        for alt, m in (("vmf", None), ("watson", None), ("lp", 2)):
+            with pytest.raises(InputError):
+                kl_divergence(alt, 3, kappa, m=m)
+            with pytest.raises(InputError):
+                gamma_profile(alt, 3, 3, kappa, 1.0, m=m)
+    with pytest.raises(InputError):
+        gamma_shift("lp", 3, 3, math.nan, m=3)
+    with pytest.raises(InputError):
+        gamma_shift("vmf", 3, 3, math.nan)
+    with pytest.raises(InputError):
+        slope("vmf", 3, 3, math.inf)
+
+
+# at d = 2 scipy's 0F1 returns 0 rather than inf once it overflows, and
+# reports an ignored ZeroDivisionError on the way
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+def test_kl_overflow_is_a_numerical_error():
+    for d in (2, 3):
+        for alt in ("vmf", "watson"):
+            with pytest.raises(NumericalError, match="overflow"):
+                kl_divergence(alt, d, 800.0)
+
+
+def test_kl_profile_small_kappa_leading_term():
+    # KL = kappa^2 / (2 nu_d(m)) + O(kappa^3): the quadrature keeps its relative accuracy
+    kappa = 1e-6
+    for d in DIMS:
+        for m in range(1, 7):
+            lead = kappa * kappa / (2.0 * harmonic_dim(d, m))
+            val = kl_divergence("lp", d, kappa, m=m)
+            assert val == pytest.approx(lead, rel=1e-5, abs=0.0), (d, m)
 
 
 def test_gamma_profile_vmf_first_moment_is_mean_resultant():
@@ -115,6 +146,19 @@ def test_gamma_profile_profile_class_exact():
         atol=1e-15,
     )
     assert gamma_shift("lp", beta, d, kappa, m=m) == pytest.approx((kappa * amp) ** 2, rel=1e-12)
+
+
+def test_gamma_shift_is_taken_on_the_axis():
+    # every Legendre weight of gamma is nonnegative, so no cosine beats s = 1
+    grid = np.linspace(-1.0, 1.0, 4001)
+    cases = [(alt, None, kappa) for alt in ("vmf", "watson") for kappa in (1e-2, 0.5, 5.0)]
+    cases += [("lp", m, 0.5) for m in range(1, 7)]
+    for alt, m, kappa in cases:
+        for beta in range(1, 7):
+            for d in DIMS:
+                shift = gamma_shift(alt, beta, d, kappa, m=m)
+                assert shift == gamma_profile(alt, beta, d, kappa, 1.0, m=m) ** 2
+                assert np.max(gamma_profile(alt, beta, d, kappa, grid, m=m) ** 2) <= shift
 
 
 def test_gamma_shift_zero_for_blind_combinations():

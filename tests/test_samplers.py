@@ -21,7 +21,7 @@ from maxproj.samplers import (
     preset,
     sample,
 )
-from maxproj.special import watson_mean_square
+from oracles import watson_mean_square
 
 E1_3 = np.array([1.0, 0.0, 0.0])
 
