@@ -20,8 +20,7 @@ data = sample(VonMisesFisher(theta, 0.8), N, stream(2718))
 print(f"sample: n={N} directions on S^{D-1}, drawn with a concentration of 0.8")
 
 cover = make_cover(D, 5000, seed=42)
-observed = evaluate_battery(data, BETAS, cover_points=cover, competitors=True,
-                            rng_ca=stream(2719))
+observed = evaluate_battery(data, BETAS, cover_points=cover, rng_ca=stream(2719))
 print("\nobserved statistics:")
 for name in sorted(observed):
     print(f"  {name:>12s} = {observed[name]:8.4f}")

@@ -12,14 +12,13 @@ For the three families treated here the limit has the closed form
 lambda_k nu_d(k) / sum lambda_j nu_d(j), where k = 1 (von Mises-Fisher),
 k = 2 (Watson) and k = m (the order-m Legendre-profile class).
 
-gamma_kappa is zonal in s = cos(angle to the symmetry axis), and all of its
-Legendre weights are nonnegative, so its largest square over the sphere is
-taken on the axis, s = 1; over a supplied direction cover, which does not
-contain the axis, the maximum is taken over the cover's cosines.  The
-exponential families use the closed-form Legendre means E_kappa P_j(theta . X),
-Bessel ratios for von Mises-Fisher and confluent hypergeometric ratios for
-Watson, which one helper evaluates together with the log normalizing
-constant; the profile class is exactly linear in kappa.
+Each class is described once, by :func:`_family`: its Legendre means
+E_kappa P_j(theta . X) and its density ratio against uniformity as a
+function of t = theta . x.  The shift is the one Legendre sum of the means,
+and KL is the one quadrature of the ratio, for every class.  gamma_kappa is
+zonal in s = cos(angle to the symmetry axis), and all of its Legendre
+weights are nonnegative, so its largest square over the sphere is taken on
+the axis, s = 1.
 """
 
 import math
@@ -27,7 +26,7 @@ import math
 import numpy as np
 
 from ._errors import InputError, NumericalError
-from .kernels import ZonalKernel, shift_amplitude_exact
+from .kernels import ZonalKernel
 from .legendre import (
     harmonic_dim,
     legendre_eval,
@@ -53,14 +52,17 @@ def _order(alt, m):
 
 
 # ---------------------------------------------------------------------------
-# the exponential families in closed form
+# the alternative classes
 
 
-def _family(alt, beta, d, kappa):
-    """E_kappa P_j(theta . X), j = 0..beta, and KL(kappa, 0), under the vMF or Watson family.
+def _family(alt, beta, d, kappa, m=None):
+    """Legendre means and density ratio of the alternative class at ``kappa``.
 
-    Each family is exp(kappa T) / c(kappa) with c normalized by the sphere
-    area, so KL(kappa, 0) = kappa E T - log c(kappa).  vMF: T = t,
+    Returns ``(means, y)``: means[j] = E_kappa P_j(theta . X), j = 0..beta,
+    and y(t) = f_kappa(t) / f_0 - 1 at t = theta . x.  The profile class
+    1 + kappa P_m(t) has the single mean kappa / nu_d(m) at j = m and
+    y = kappa P_m(t).  vMF and Watson are exp(kappa T) / c(kappa) with c
+    normalized by the sphere area, so y = expm1(kappa T - log c).  vMF: T = t,
     E P_j = I_{j+nu}(kappa) / I_nu(kappa) with nu = d/2 - 1, and
     c = 0F1(d/2; kappa^2/4).  Watson: T = t^2, c = M(1/2, d/2, kappa), and the
     even moments E t^{2l} = psi_d(2l) M(l+1/2, d/2+l, kappa) / c are combined
@@ -69,15 +71,19 @@ def _family(alt, beta, d, kappa):
     """
     from scipy import special as sps
 
-    out = np.zeros(beta + 1)
-    out[0] = 1.0
+    means = np.zeros(beta + 1)
+    means[0] = 1.0
+    if alt == "lp":
+        if m <= beta:
+            means[m] = kappa / harmonic_dim(d, m)
+        return means, lambda t: kappa * legendre_eval(d, m, t)
     if kappa == 0.0:
-        return out, 0.0
+        return means, lambda t: 0.0
     if alt == "vmf":
         nu = d / 2.0 - 1.0
-        out[1:] = sps.ive(np.arange(1, beta + 1) + nu, kappa) / sps.ive(nu, kappa)
+        means[1:] = sps.ive(np.arange(1, beta + 1) + nu, kappa) / sps.ive(nu, kappa)
         norm = sps.hyp0f1(d / 2.0, 0.25 * kappa * kappa)
-        mean_stat = out[1]
+        power = 1
     else:
         moments = np.zeros(max(beta, 2) + 1)
         l = np.arange(len(moments[::2]))
@@ -87,13 +93,13 @@ def _family(alt, beta, d, kappa):
             ratio /= norm
         moments[::2] = [psi(d, 2 * i) for i in l] * ratio
         for j in range(1, beta + 1):
-            out[j] = sum(float(a) * moments[i] for i, a in enumerate(monomial_coefficients(d, j)))
-        mean_stat = moments[2]
+            means[j] = sum(float(a) * moments[i] for i, a in enumerate(monomial_coefficients(d, j)))
+        power = 2
     # past the float range scipy's 0F1(1; x) returns 0 instead of inf
-    kl = mean_stat * kappa - (math.log(norm) if norm > 0.0 else math.inf)
-    if not (np.all(np.isfinite(out)) and math.isfinite(kl)):
+    log_c = math.log(norm) if norm > 0.0 else math.inf
+    if not (np.all(np.isfinite(means)) and math.isfinite(log_c)):
         raise NumericalError(f"{alt} moments or normalizing constant overflow at kappa = {kappa}")
-    return out, float(kl)
+    return means, lambda t: math.expm1(kappa * t**power - log_c)
 
 
 # ---------------------------------------------------------------------------
@@ -103,37 +109,37 @@ def _family(alt, beta, d, kappa):
 def kl_divergence(alt, d, kappa, m=None):
     """KL(kappa, 0) against uniformity for the given alternative class.
 
-    The exponential families read kappa E T - log c(kappa) from their closed
-    forms.  The profile class is one quadrature against the weight
-    (1-t^2)^{(d-3)/2}, QUADPACK's algebraic-endpoint rule, which also covers
-    the singular d = 2 weight; the linear term of the integrand is removed
-    analytically (it integrates to zero), which keeps small-kappa values
-    cancellation-free.
+    One quadrature for every class: the integral of (1+y) log(1+y) - y, with
+    y the density ratio minus one of :func:`_family`, against the weight
+    (1-t^2)^{(d-3)/2}, by QUADPACK's algebraic-endpoint rule, which also
+    covers the singular d = 2 weight.  The linear term -y integrates to zero
+    and keeps the integrand O(y^2), so small-kappa values keep their relative
+    accuracy, and an error in log c moves the value only to second order.
     """
     _check_alt(alt, m)
     if not 0.0 < kappa < math.inf:
         raise InputError(f"kappa must be finite and > 0, got {kappa}")
-    if alt != "lp":
-        return _family(alt, 1, d, kappa)[1]
-    if kappa > 1.0:
+    if alt == "lp" and kappa > 1.0:
         raise InputError("profile-class kappa must lie in (0, 1]")
     from scipy import integrate
 
+    y = _family(alt, 0, d, kappa, m=m)[1]
+
     def bump(t):
-        # (1+x) log(1+x) - x at x = kappa P_m(t), with log1p so that the
-        # O(x^2) value keeps its relative accuracy as kappa -> 0
-        x = kappa * legendre_eval(d, m, t)
+        # (1+x) log(1+x) - x, with log1p so that the O(x^2) value keeps its
+        # relative accuracy as kappa -> 0
+        x = y(t)
         if x <= -1.0:
             return 1.0
         return (1.0 + x) * math.log1p(x) - x
 
-    # a purely relative target: the value is about kappa^2 / (2 nu_d(m))
+    # a purely relative target: the value is O(kappa^2) as kappa -> 0
     p = (d - 3) / 2.0
     val, err = integrate.quad(bump, -1.0, 1.0, weight="alg", wvar=(p, p),
                               epsabs=0.0, epsrel=1e-9, limit=400)
     val *= math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
     if err > 1e-6 * val:
-        raise NumericalError(f"profile KL quadrature error {err:.2e}")
+        raise NumericalError(f"{alt} KL quadrature error {err:.2e}")
     return float(val)
 
 
@@ -147,11 +153,8 @@ def gamma_profile(alt, beta, d, kappa, s, m=None):
     if not 0.0 <= kappa < math.inf:
         raise InputError(f"kappa must be finite and >= 0, got {kappa}")
     s = np.asarray(s, dtype=float)
-    if alt == "lp":
-        amp = float(shift_amplitude_exact(beta, d, m))
-        return kappa * amp * legendre_eval(d, m, s)
     # the j = 0 term is psi_d(beta), the uniform moment that gamma subtracts
-    means = _family(alt, beta, d, kappa)[0]
+    means = _family(alt, beta, d, kappa, m=m)[0]
     total = np.zeros_like(s)
     for j, c in enumerate(power_expansion(d, beta)[1:], start=1):
         cw = float(c) * means[j]
@@ -160,31 +163,23 @@ def gamma_profile(alt, beta, d, kappa, s, m=None):
     return total
 
 
-def gamma_shift(alt, beta, d, kappa, cover=None, m=None):
-    """max_b gamma_kappa(b)^2 over the sphere, or over an ``(m, d)`` cover array.
+def gamma_shift(alt, beta, d, kappa, m=None):
+    """max_b gamma_kappa(b)^2 over the sphere.
 
-    gamma_kappa(s) = sum_j w_j P_j(s) with every weight w_j >= 0: t^beta,
-    exp(kappa t) and exp(kappa t^2) all have nonnegative Legendre
-    coefficients, and the profile class has the single weight
-    kappa c_m / nu_d(m).  Since |P_j(s)| <= P_j(1) = 1, the maximum over the
-    sphere is gamma_kappa(1)^2, taken on the axis.  A cover does not contain
-    the axis, so its maximum is taken over its cosines.
+    gamma_kappa(s) = sum_j c_j mu_j P_j(s) with every weight c_j mu_j >= 0:
+    t^beta, exp(kappa t) and exp(kappa t^2) all have nonnegative Legendre
+    coefficients, and the profile class has the single mean
+    kappa / nu_d(m).  Since |P_j(s)| <= P_j(1) = 1, the maximum over the
+    sphere is gamma_kappa(1)^2, taken on the axis.
     """
-    if cover is None:
-        s = 1.0
-    else:
-        pts = np.asarray(cover, dtype=float)
-        axis = np.zeros(pts.shape[1])
-        axis[0] = 1.0
-        s = np.clip(pts @ axis, -1.0, 1.0)
-    g = gamma_profile(alt, beta, d, kappa, s, m=m)
-    return float(np.max(g * g))
+    g = gamma_profile(alt, beta, d, kappa, 1.0, m=m)
+    return float(g * g)
 
 
-def slope(alt, beta, d, kappa, cover=None, m=None):
+def slope(alt, beta, d, kappa, m=None):
     """Approximate Bahadur slope max gamma^2 / sum lambda_j nu_d(j)."""
     denom = float(ZonalKernel(beta, d).total_variance)
-    return gamma_shift(alt, beta, d, kappa, cover=cover, m=m) / denom
+    return gamma_shift(alt, beta, d, kappa, m=m) / denom
 
 
 def local_are(alt, beta, d, m=None):

@@ -66,8 +66,12 @@ def default_limit_cover_m(d):
     return 1000 if d <= 3 else 5000
 
 
-def evaluate_battery(x, betas, cover_points=None, rng_ca=None, competitors=True):
-    """All statistics of the battery on one sample; returns name -> value."""
+def evaluate_battery(x, betas, cover_points=None, rng_ca=None):
+    """All statistics of the battery on one sample; returns name -> value.
+
+    The competitors run when ``rng_ca``, the stream of the random-projection
+    directions, is given; without it only the powers ``betas`` are scored.
+    """
     n, d = x.shape
     vals = {}
     betas = sorted(set(betas))
@@ -81,7 +85,7 @@ def evaluate_battery(x, betas, cover_points=None, rng_ca=None, competitors=True)
             raise InputError("cover required for powers beta >= 3")
         res = max_projection_values(x, cover_betas, cover_points)
         vals.update({f"T{b}": v for b, v in res.items()})
-    if not competitors:
+    if rng_ca is None:
         return vals
     if d == 2:
         vals.update(circle_classical(x))
@@ -112,13 +116,7 @@ def _replicate_one(task, r):
     if any(b > 2 for b in task["betas"]):
         cover = make_cover(d, task["m"], stream(seed, *ns, r, 1))
     rng_ca = stream(seed, *ns, r, 2) if task["competitors"] else None
-    return evaluate_battery(
-        x,
-        task["betas"],
-        cover_points=cover,
-        rng_ca=rng_ca,
-        competitors=task["competitors"],
-    )
+    return evaluate_battery(x, task["betas"], cover_points=cover, rng_ca=rng_ca)
 
 
 def _worker_chunk(args):
@@ -187,6 +185,8 @@ class RunConfig:
     the value written here.  ``cover_m`` and ``null_replications`` also size
     the limit-field simulation of :func:`cmd_limit` and of the ``inf``/``inf*``
     rows, where ``cover_m=None`` stands for :func:`default_limit_cover_m`.
+    Repeated sample sizes and powers are dropped, keeping the first of each
+    in order, so that no row or simulation is repeated.
     """
 
     d: int = 2
@@ -227,6 +227,8 @@ class RunConfig:
         if not self.betas or not all(isinstance(b, numbers.Integral) and b >= 1
                                      for b in self.betas):
             raise InputError(f"powers must be integers >= 1, got {list(self.betas)}")
+        self.n = tuple(dict.fromkeys(self.n))
+        self.betas = tuple(dict.fromkeys(self.betas))
 
     @property
     def m(self):
@@ -275,7 +277,7 @@ def cmd_critvals(config):
     ``n`` entries may be integers or the tokens ``inf`` (covariance route) and
     ``inf*`` (harmonics route) for the limiting distribution.
     """
-    finite = list(dict.fromkeys(int(n) for n in config.n if not isinstance(n, str)))
+    finite = [int(n) for n in config.n if not isinstance(n, str)]
     nulls = dict(zip(finite, run_jobs([_null_job(config, n) for n in finite], config.workers)))
     rows = []
     for n in config.n:
@@ -356,7 +358,7 @@ def cmd_test(config):
     cover = None
     if any(b > 2 for b in config.betas):
         cover = make_cover(d, null_config.m, stream(config.seed, NS_TEST, 0))
-    observed = evaluate_battery(x, config.betas, cover_points=cover, competitors=False)
+    observed = evaluate_battery(x, config.betas, cover_points=cover)
     nulls = simulate_null(null_config, n)
     rows = []
     for name in sorted(observed):
@@ -433,8 +435,9 @@ def ingest(path, min_diameter=None):
     Accepted schemas (by header): ``lat,lon`` in degrees (d = 3), or
     coordinate columns ``x1..xd``.  An optional ``diameter_km`` column
     supports ``min_diameter`` filtering, which also drops a row whose diameter
-    is NaN.  Slightly off-sphere coordinate rows are renormalized and counted;
-    rows that cannot be repaired are skipped.
+    is NaN; the column is read only under that filter.  Slightly off-sphere
+    coordinate rows are renormalized and counted; rows that cannot be
+    repaired are skipped.
     """
     try:
         fh = open(path, newline="")
@@ -464,9 +467,11 @@ def ingest(path, min_diameter=None):
                 raise DataError(
                     f"{path}: unknown schema {header!r}; accepted: lat,lon or x1..xd"
                 )
-        diam_idx = cols.index("diameter_km") if "diameter_km" in cols else None
-        if min_diameter is not None and diam_idx is None:
-            raise DataError(f"{path}: no diameter_km column for the diameter filter")
+        diam_idx = None
+        if min_diameter is not None:
+            if "diameter_km" not in cols:
+                raise DataError(f"{path}: no diameter_km column for the diameter filter")
+            diam_idx = cols.index("diameter_km")
         raw = []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):

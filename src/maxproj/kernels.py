@@ -4,8 +4,7 @@ Under uniformity, the centered process of beta-th projection moments has a
 Gaussian limit whose covariance between directions b and c depends only on
 t = b.c (a zonal kernel).  This module evaluates that kernel through its
 Legendre/spherical-harmonics spectral form and exposes the eigenvalue spectrum
-of the associated integral operator and the amplitude of the deterministic
-shift picked up under local (1 + h/sqrt(n)) alternatives.
+of the associated integral operator.
 
 The hand-written closed forms of the kernel for beta = 1..6 deliberately do
 not live here: they are test oracles, while the single spectral code path
@@ -88,15 +87,3 @@ class ZonalKernel:
             out += a
         return out
 
-
-def shift_amplitude_exact(beta, d, m):
-    """Exact shift coefficient c_{m,d}(beta) / nu_d(m).
-
-    Zero when m > beta or beta + m is odd: those perturbation orders are
-    invisible to the order-beta statistic.
-    """
-    if m < 0:
-        raise InputError(f"order must be >= 0, got {m}")
-    if m > beta or (beta + m) % 2 == 1:
-        return Fraction(0)
-    return power_expansion(d, beta)[m] / harmonic_dim(d, m)

@@ -1,11 +1,12 @@
 """Independent oracles that only the tests call.
 
-Each one computes a quantity of the package by a second route: surface
-quadrature on S^1 and S^2, the weighted Legendre inner product, the exact
-moment series of the projection integrals, the closed-form vMF mean
-resultant and Watson second moment, a Haar rotation for invariance checks
-and the plain Kolmogorov-Smirnov distance that ``ca_statistic``
-vectorizes.  Tests import them as ``from oracles import ...``.
+Each one computes a quantity of the package by a second route: the exact
+shift amplitude of the profile class, surface quadrature on S^1 and S^2,
+the weighted Legendre inner product, the exact moment series of the
+projection integrals, the closed-form vMF mean resultant and Watson second
+moment, a Haar rotation for invariance checks and the plain
+Kolmogorov-Smirnov distance that ``ca_statistic`` vectorizes.  Tests import
+them as ``from oracles import ...``.
 """
 
 import math
@@ -16,7 +17,6 @@ import numpy as np
 
 from maxproj import InputError, NumericalError
 from maxproj.geometry import as_unit_vector, surface_area
-from maxproj.kernels import shift_amplitude_exact
 from maxproj.legendre import (
     harmonic_dim,
     legendre_eval,
@@ -102,11 +102,24 @@ def delta_ratio(d, j, l):
 # shifts and surface quadrature (d = 2, 3)
 
 
+def shift_amplitude_exact(beta, d, m):
+    """Exact shift coefficient c_{m,d}(beta) / nu_d(m).
+
+    Zero when m > beta or beta + m is odd: those perturbation orders are
+    invisible to the order-beta statistic.
+    """
+    if m < 0:
+        raise InputError(f"order must be >= 0, got {m}")
+    if m > beta or (beta + m) % 2 == 1:
+        return Fraction(0)
+    return power_expansion(d, beta)[m] / harmonic_dim(d, m)
+
+
 def shift_value(beta, d, m, theta, b):
     """Limit shift amp * P_m(theta.b) at directions ``b`` under a local order-m perturbation.
 
-    ``amp`` is :func:`maxproj.kernels.shift_amplitude_exact`; ``b`` is one
-    direction or an array of them along its last axis.
+    ``amp`` is :func:`shift_amplitude_exact`; ``b`` is one direction or an
+    array of them along its last axis.
     """
     theta = as_unit_vector(theta)
     b = np.asarray(b, dtype=float)

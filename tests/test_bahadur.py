@@ -14,11 +14,11 @@ from maxproj.bahadur import (
     slope,
 )
 from maxproj.geometry import make_cover
-from maxproj.kernels import ZonalKernel, shift_amplitude_exact
+from maxproj.kernels import ZonalKernel
 from maxproj.legendre import harmonic_dim, legendre_eval, power_expansion
 from maxproj.rng import stream
 from maxproj.samplers import LegendreProfile, sample
-from oracles import delta_ratio, vmf_mean_resultant
+from oracles import delta_ratio, shift_amplitude_exact, vmf_mean_resultant
 
 DIMS = (2, 3, 5, 10)
 
@@ -118,6 +118,16 @@ def test_kl_overflow_is_a_numerical_error():
                 kl_divergence(alt, d, 800.0)
 
 
+def test_kl_exponential_families_small_kappa_leading_term():
+    # KL = kappa^2 / (2 d) (vMF) and kappa^2 (d-1) / (d^2 (d+2)) (Watson), + O(kappa^3)
+    kappa = 1e-6
+    for d in DIMS:
+        lead = {"vmf": kappa * kappa / (2.0 * d),
+                "watson": kappa * kappa * (d - 1) / (d * d * (d + 2.0))}
+        for alt, value in lead.items():
+            assert kl_divergence(alt, d, kappa) == pytest.approx(value, rel=1e-5, abs=0.0), (alt, d)
+
+
 def test_kl_profile_small_kappa_leading_term():
     # KL = kappa^2 / (2 nu_d(m)) + O(kappa^3): the quadrature keeps its relative accuracy
     kappa = 1e-6
@@ -166,10 +176,12 @@ def test_gamma_shift_zero_for_blind_combinations():
     assert gamma_shift("lp", 3, 3, 0.5, m=5) == 0.0
 
 
-def test_gamma_shift_accepts_direction_cover():
+def test_gamma_shift_bounds_the_maximum_over_a_direction_cover():
+    # a cover does not contain the axis: its maximum over the cover's cosines
+    # stays at or below the axis value and approaches it
     cover = make_cover(3, 2000, seed=82)
     dense = gamma_shift("vmf", 3, 3, 0.5)
-    on_cover = gamma_shift("vmf", 3, 3, 0.5, cover=cover)
+    on_cover = np.max(gamma_profile("vmf", 3, 3, 0.5, np.clip(cover[:, 0], -1.0, 1.0)) ** 2)
     assert on_cover <= dense + 1e-15
     assert on_cover == pytest.approx(dense, rel=1e-3)
 

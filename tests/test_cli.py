@@ -100,6 +100,18 @@ def test_library_limit_rows_match_the_cli(capsys):
         assert {(r["replications"], r["cover_m"]) for r in rows} == {(500, 300)}
 
 
+@pytest.mark.parametrize("plain, repeated", [
+    (["limit", "--d", "3", "--beta", "3"], ["limit", "--d", "3", "--beta", "3", "3"]),
+    (["critvals", "--n", "7", "inf", "--beta", "1"],
+     ["critvals", "--n", "7", "7", "inf", "inf", "--beta", "1", "1"]),
+], ids=["limit", "critvals"])
+def test_repeated_sizes_and_powers_add_no_rows(plain, repeated, capsys):
+    common = ["--cover-m", "50", "--reps", "100", "--seed", "3"]
+    first = run_cli(plain + common, capsys)
+    assert first[0] == 0
+    assert run_cli(repeated + common, capsys) == first
+
+
 #: a small run of each simulation subcommand, option -> values
 BASE_ARGS = {
     "critvals": {"--d": ["2"], "--n": ["20"], "--beta": ["1", "3"], "--alpha": ["0.05"],

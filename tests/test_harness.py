@@ -138,8 +138,9 @@ def test_battery_names_by_dimension():
     for d in (2, 3):
         x = uniform_points(d, 30, stream(1))
         cover = uniform_points(d, 50, stream(2))
-        names[d] = list(evaluate_battery(x, (1, 2, 3), cover_points=cover, rng_ca=stream(3),
-                                         competitors=True))
+        names[d] = list(evaluate_battery(x, (1, 2, 3), cover_points=cover, rng_ca=stream(3)))
+        # the competitors run only with the stream of their random directions
+        assert list(evaluate_battery(x, (1, 2, 3), cover_points=cover)) == ["T1", "T2", "T3"]
     assert names[2] == ["T1", "T2", "T3", "kuiper", "watson_u2", "ajne", "rayleigh_mod", "ca25"]
     assert names[3] == ["T1", "T2", "T3", "ajne", "rayleigh_mod", "bingham", "gine", "ca100",
                         "cvm"]
@@ -159,7 +160,7 @@ def test_power_defaults_to_the_study_alternatives():
 def test_evaluate_battery_requires_cover_for_high_powers():
     x = uniform_points(2, 20, stream(1))
     with pytest.raises(InputError):
-        evaluate_battery(x, (3,), cover_points=None, competitors=False)
+        evaluate_battery(x, (3,), cover_points=None)
 
 
 def test_mc_pvalue_correction_and_tails():
@@ -264,6 +265,11 @@ def test_ingest_diameter_filter(tmp_path):
     x, report = ingest(p, min_diameter=150.0)
     assert report.rows_filtered == 2  # 100 and nan
     assert x.shape[0] == 2
+    # the diameter column is read only under the filter
+    p.write_text("lat,lon,diameter_km\n10,20,200\n-5,40,\n")
+    assert ingest(p)[0].shape == (2, 3)
+    with pytest.raises(DataError, match="craters.csv:3"):
+        ingest(p, min_diameter=150.0)
 
 
 def test_ingest_errors(tmp_path):

@@ -2,8 +2,10 @@
 
 ``bahadur`` reads the mean resultant, the Watson second moment and the log
 normalizing constants from one helper: ``gamma_profile(alt, beta, d, kappa, 1)``
-is E_kappa (theta . X)^beta - psi_d(beta), and ``kl_divergence`` is
-kappa E T - log c(kappa) with T = t (vMF) or t^2 (Watson).
+is E_kappa (theta . X)^beta - psi_d(beta), and ``kl_divergence`` integrates
+the density ratio exp(kappa T) / c(kappa) with T = t (vMF) or t^2 (Watson).
+The checks compare it with kappa E T - log c(kappa), the closed form of the
+same number.
 """
 
 import math
