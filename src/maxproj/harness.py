@@ -11,8 +11,8 @@ in the output.
 
 Each command hands all of its simulations to :func:`run_jobs` at once, so it
 forks at most one worker pool, after the parent process has imported
-``scipy.special`` for the competitor battery and built the CvM kernel table
-that every worker needs.  The samplers run on numpy alone.
+``scipy.special`` for the competitor battery.  The samplers run on numpy
+alone.
 
 Statistics with an upper rejection tail use the (1 - alpha) null quantile as
 critical value; the random-projection test rejects below its alpha-quantile.
@@ -41,7 +41,6 @@ from .statistics import (
     _pairwise_angles,
     ca_statistic,
     circle_classical,
-    cvm_kernel,
     cvm_statistic,
     max_projection_values,
     sphere_sobolev,
@@ -133,11 +132,9 @@ def run_jobs(jobs, workers=1):
     into chunks of ``max(64, ceil(replications / (4 workers)))``
     replications, and the chunks of all jobs share one fork pool of at most
     one worker per usable CPU and per chunk.  Before the pool forks, the
-    parent builds what every worker would otherwise build for itself: the
-    ``scipy.special`` import of the competitor battery and the CvM kernel
-    table of each competitor task's dimension, whose quadrature at d >= 5
-    also imports ``scipy.integrate``.  The values do not depend on the number
-    of workers.
+    parent imports ``scipy.special`` for the competitor battery, so that the
+    workers share that one import.  The values do not depend on the number of
+    workers.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, cpus or 1)
@@ -150,13 +147,10 @@ def run_jobs(jobs, workers=1):
     if workers <= 1 or len(chunks) <= 1:
         results = [_worker_chunk(c) for c in chunks]
     else:
-        dims = {task["d"] for task, _ in jobs if task["competitors"]}
-        if dims:
+        if any(task["competitors"] for task, _ in jobs):
             # the competitor battery calls scipy.special: import it once here, so
             # that the forked workers share it instead of each importing it
             import scipy.special  # noqa: F401
-        for d in dims:
-            cvm_kernel(d, 0.0)  # fills the quadrature table at d >= 5, free below
         with get_context("fork").Pool(processes=min(workers, len(chunks))) as pool:
             results = pool.map(_worker_chunk, chunks, chunksize=1)
     outs = [None] * len(jobs)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._errors import InputError, NumericalError
+from ._errors import InputError
 from .geometry import uniform_points
 from .legendre import psi
 
@@ -328,7 +328,8 @@ def sphere_sobolev(sample, theta=None):
         "bingham": float(bingham),
     }
     if d >= 3:
-        coeff = (d - 1.0) * math.gamma(d / 2.0 - 1.0) ** 2 / (2.0 * n * math.gamma(d / 2.0) ** 2)
+        # Gamma(d/2 - 1) / Gamma(d/2) = 2 / (d - 2), which stays finite at any d
+        coeff = 2.0 * (d - 1.0) / (n * (d - 2.0) ** 2)
         out["gine"] = float(n / 2.0 - coeff * np.sum(np.sin(theta)))
     return out
 
@@ -391,45 +392,42 @@ def ca_statistic(x, q, rng):
 
 @lru_cache(maxsize=None)
 def _cvm_kernel_table(d):
-    """Interpolation table of the angle kernel for d >= 5 (one quadrature per node)."""
+    """Interpolation table of the angle kernel for d >= 5, on 1024 angles in [0, pi].
+
+    At an interior angle theta, with c = cos(theta/2) and
+    z = y tan(theta/2) / sqrt(1 - y^2), the kernel is
+    2 F_d(c)^2 - 3/4 + theta/(2 pi) - 4 int_0^c F_d(y) F_{d-1}(z) f_d(y) dy.
+    The substitution y = c (1 - v^2) smooths the integrand at y = c, where z
+    reaches 1, so one fixed 64-point Gauss-Legendre rule in v integrates all
+    interior angles in one array pass, to about 1e-14.
+    """
     thetas = np.linspace(0.0, math.pi, 1024)
-    vals = np.array([_cvm_kernel_quad(d, th) for th in thetas])
-    return thetas, vals
-
-
-def _cvm_kernel_quad(d, theta):
-    from scipy import integrate
-
-    if theta <= 0.0:
-        return 0.5
-    if theta >= math.pi:
-        return 0.25
-    c = math.cos(theta / 2.0)
-    tan_half = math.tan(theta / 2.0)
-
-    def integrand(y):
-        z = y * tan_half / math.sqrt(1.0 - y * y)
-        return (
-            projection_cdf(d, y)
-            * projection_cdf(d - 1, z)
-            * _projection_pdf(d, y)
-        )
-
-    val, err = integrate.quad(integrand, 0.0, c, epsabs=1e-11, epsrel=1e-9, limit=200)
-    if err > 1e-7:
-        raise NumericalError(f"projected-CvM kernel quadrature error {err:.2e}")
-    return (
-        -4.0 * val
+    half = thetas[1:-1, None] / 2.0
+    c = np.cos(half)
+    # not scipy.special.roots_legendre: its first call imports scipy.linalg,
+    # which a forked worker would then import for itself
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    v = (nodes + 1.0) / 2.0
+    y = c * (1.0 - v * v)
+    z = y * np.tan(half) / np.sqrt(1.0 - y * y)
+    f = projection_cdf(d, y) * projection_cdf(d - 1, z) * _projection_pdf(d, y)
+    # dy = 2 c v dv, and the rule on [0, 1] carries weights / 2
+    integral = (f * (c * v * weights)).sum(axis=1)
+    vals = np.empty_like(thetas)
+    vals[0], vals[-1] = 0.5, 0.25
+    vals[1:-1] = (
+        -4.0 * integral
         - 0.75
-        + theta / (2.0 * math.pi)
-        + 2.0 * projection_cdf(d, c) ** 2
+        + thetas[1:-1] / (2.0 * math.pi)
+        + 2.0 * projection_cdf(d, c[:, 0]) ** 2
     )
+    return thetas, vals
 
 
 def cvm_kernel(d, theta):
     """Angle kernel of the projected Cramer-von Mises statistic.
 
-    Closed forms for d in {2, 3, 4}; cached quadrature interpolant above.
+    Closed forms for d in {2, 3, 4}; the cached table's interpolant above.
     """
     theta = np.asarray(theta, dtype=float)
     if d == 2:

@@ -4,8 +4,9 @@ Each one computes a quantity of the package by a second route: the exact
 shift amplitude of the profile class, surface quadrature on S^1 and S^2,
 the weighted Legendre inner product, the exact moment series of the
 projection integrals, the closed-form vMF mean resultant and Watson second
-moment, a Haar rotation for invariance checks and the plain
-Kolmogorov-Smirnov distance that ``ca_statistic`` vectorizes.  Tests import
+moment, a Haar rotation for invariance checks, the plain
+Kolmogorov-Smirnov distance that ``ca_statistic`` vectorizes and the
+projected-CvM angle kernel by one adaptive quadrature per angle.  Tests import
 them as ``from oracles import ...``.
 """
 
@@ -25,7 +26,7 @@ from maxproj.legendre import (
     psi_exact,
 )
 from maxproj.rng import as_generator
-from maxproj.statistics import projection_cdf
+from maxproj.statistics import _projection_pdf, projection_cdf
 
 # ---------------------------------------------------------------------------
 # Legendre machinery
@@ -221,3 +222,33 @@ def ks_statistic(values, d):
     f = projection_cdf(d, v)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+
+
+#: absolute and relative target of the cvm_kernel_quad quadrature
+_CVM_TOL = 1e-13
+
+
+def cvm_kernel_quad(d, theta):
+    """Projected-CvM angle kernel at one angle by adaptive quadrature in y.
+
+    The same integral as ``statistics._cvm_kernel_table``, taken by
+    ``scipy.integrate.quad`` on [0, cos(theta/2)] without the substitution.
+    Raises NumericalError if the quadrature cannot reach ``_CVM_TOL``.
+    """
+    from scipy import integrate
+
+    if theta <= 0.0:
+        return 0.5
+    if theta >= math.pi:
+        return 0.25
+    c = math.cos(theta / 2.0)
+    tan_half = math.tan(theta / 2.0)
+
+    def integrand(y):
+        z = y * tan_half / math.sqrt(1.0 - y * y)
+        return projection_cdf(d, y) * projection_cdf(d - 1, z) * _projection_pdf(d, y)
+
+    val, err = integrate.quad(integrand, 0.0, c, epsabs=_CVM_TOL, epsrel=_CVM_TOL, limit=200)
+    if err > 50 * _CVM_TOL:
+        raise NumericalError(f"quadrature reached only {err:.2e} (target {_CVM_TOL:.2e})")
+    return -4.0 * val - 0.75 + theta / (2.0 * math.pi) + 2.0 * projection_cdf(d, c) ** 2

@@ -186,6 +186,18 @@ def test_power_subcommand_orders_alternatives(capsys):
     assert power[("uniform", "T1")] < 0.12
 
 
+def test_power_in_high_dimension_runs_the_battery(capsys):
+    # the Gine prefactor once overflowed at d >= 344 (math.gamma(d/2 - 1))
+    code, out, err = run_cli(
+        ["power", "--d", "350", "--n", "10", "--beta", "1", "2", "--reps", "64",
+         "--power-reps", "64", "--alt", "vmf:kappa=1"],
+        capsys,
+    )
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {"gine", "cvm"} <= {r["statistic"] for r in rows}
+
+
 def test_test_subcommand_and_ingest_check(tmp_path, capsys):
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((60, 3))

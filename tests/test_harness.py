@@ -7,7 +7,7 @@ import pytest
 
 import maxproj
 import maxproj.harness as harness
-from conftest import SEED_SIZE, WORKERS, run_python
+from conftest import SEED_SIZE, WORKERS
 from maxproj import DataError, InputError
 from maxproj.geometry import uniform_points
 from maxproj.harness import (
@@ -112,25 +112,6 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, replicati
     assert len(started) == 1
     assert np.array_equal(outs[0]["T1"], serial)
     assert np.array_equal(outs[1]["T1"], harness.run_replications(task, 2 * replications)["T1"])
-
-
-_CVM_TABLE_PROBE = """
-import maxproj.harness as harness
-from maxproj.statistics import _cvm_kernel_table
-
-task = {"d": 10, "n": 12, "betas": (1,), "m": 10, "seed": 3, "ns": (0, 12), "alt": None,
-        "competitors": True}
-harness.run_jobs([(task, 128)], 2)
-print(_cvm_kernel_table.cache_info().currsize)
-"""
-
-
-def test_run_jobs_builds_the_cvm_table_in_the_parent():
-    # two chunks of 64 on two workers: the parent builds the d = 10 table once
-    # before the fork, instead of each worker building its own
-    proc = run_python("-c", _CVM_TABLE_PROBE)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "1"
 
 
 def test_battery_names_by_dimension():

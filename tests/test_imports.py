@@ -2,8 +2,9 @@
 
 ``critvals``, ``test`` and the kernel ``limit`` route run on numpy alone, so
 they must start without scipy.  ``power`` loads ``scipy.special`` for its
-competitor battery, and ``scipy.integrate`` only for the CvM kernel table at
-d >= 5; its samplers and its projection CDF at d <= 3 need no scipy.  Commands
+competitor battery and nothing else of scipy, in any dimension: the CvM kernel
+table at d >= 5 is one Gauss-Legendre pass over ``scipy.special`` functions,
+and its samplers and its projection CDF at d <= 3 need no scipy.  Commands
 that do call scipy load it in the parent process before a worker pool forks,
 and the forked workers import nothing at all: a module imported after the fork
 is imported once per worker.
@@ -68,9 +69,14 @@ def test_numpy_only_commands_import_no_scipy(argv, catalogue):
 
 
 def test_power_loads_scipy_once_before_workers_fork():
-    modules = imported_modules(POWER)
-    assert modules.count("scipy.special") == 1
-    assert modules.count("scipy.optimize") == modules.count("scipy.integrate") == 0
+    # the CvM kernel table at d >= 5 needs neither scipy.integrate nor scipy.linalg
+    power_d5 = ["power", "--d", "5", "--n", "12", "--beta", "1", "2", "3", "--cover-m", "50",
+                "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1", "--workers", "2"]
+    for argv in (POWER, power_d5):
+        modules = imported_modules(argv)
+        assert modules.count("scipy.special") == 1
+        assert [m for m in modules
+                if m in ("scipy.optimize", "scipy.integrate", "scipy.linalg")] == []
 
 
 _FORK_PROBE = textwrap.dedent("""
@@ -102,7 +108,7 @@ _FORK_PROBE = textwrap.dedent("""
     # the projection CDF at d >= 4 is scipy.special.betainc
     ["power", "--d", "4", "--n", "30", "--beta", "1", "2", "3", "--cover-m", "200",
      "--reps", "128", "--power-reps", "64", "--alt=bing1:kappa=1", "--workers", "2"],
-    # the CvM kernel at d >= 5 is a scipy.integrate quadrature table
+    # the CvM kernel at d >= 5 is a table that each worker builds for itself
     ["power", "--d", "10", "--n", "12", "--beta", "1", "2", "3", "--cover-m", "50",
      "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1", "--workers", "2"],
 ], ids=["critvals", "power", "power-d2", "power-d4", "power-d10"])

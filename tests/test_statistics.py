@@ -25,7 +25,7 @@ from maxproj.statistics import (
     t1_closed,
     t2_closed,
 )
-from oracles import ks_statistic, random_rotation
+from oracles import cvm_kernel_quad, ks_statistic, random_rotation
 
 
 def from_angles(angles):
@@ -332,8 +332,19 @@ def test_bingham_orthonormal_frame_vanishes():
 
 def test_gine_orthogonal_pair_d3():
     out = sphere_sobolev(np.eye(3)[:2])
-    # prefactor (d-1) Gamma(d/2-1)^2 / (2 n Gamma(d/2)^2) = 2 at d=3, n=2
+    # prefactor 2 (d-1) / (n (d-2)^2) = 2 at d=3, n=2
     assert out["gine"] == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [3, 5, 10, 100])
+def test_gine_matches_the_gamma_form(d):
+    # the prefactor (d-1) Gamma(d/2-1)^2 / (2 n Gamma(d/2)^2), whose gamma
+    # functions overflow at d >= 344, is taken as 2 (d-1) / (n (d-2)^2)
+    n = 30
+    x = uniform_points(d, n, stream(28, d))
+    coeff = (d - 1.0) * math.gamma(d / 2.0 - 1.0) ** 2 / (2.0 * n * math.gamma(d / 2.0) ** 2)
+    gine = n / 2.0 - coeff * np.sum(np.sin(statistics._pairwise_angles(x)))
+    assert sphere_sobolev(x)["gine"] == pytest.approx(gine, rel=1e-14, abs=0.0)
 
 
 def test_rayleigh_mod_antipodal_pair():
@@ -482,12 +493,26 @@ def test_sorted_statistics_match_the_stable_sort(d, n, copies, zeros, values, se
 
 
 def test_cvm_kernel_closed_values():
-    assert cvm_kernel(2, math.pi) == pytest.approx(0.25, abs=1e-12)
-    assert cvm_kernel(3, 0.0) == pytest.approx(0.5, abs=1e-12)
-    # every dimension shares the endpoint values zeta(0) = 1/2, zeta(pi) = 1/4
-    for d in (2, 3, 4, 5, 7):
-        assert cvm_kernel(d, 0.0) == pytest.approx(0.5, abs=1e-6)
-        assert cvm_kernel(d, math.pi) == pytest.approx(0.25, abs=1e-6)
+    # every dimension shares the endpoint values zeta(0) = 1/2, zeta(pi) = 1/4,
+    # and the kernel falls from one to the other; d = 4 clips pi by 1e-9,
+    # which leaves 6.2e-9 at zeta(pi)
+    theta = np.linspace(0.0, math.pi, 1024)
+    for d in (2, 3, 4, 5, 7, 20):
+        vals = cvm_kernel(d, theta)
+        assert cvm_kernel(d, 0.0) == pytest.approx(0.5, abs=1e-12), d
+        assert cvm_kernel(d, math.pi) == pytest.approx(0.25, abs=1e-8 if d == 4 else 1e-12), d
+        assert np.all((vals >= 0.25 - 1e-8) & (vals <= 0.5)), d
+        assert np.all(np.diff(vals) <= 1e-12), d
+
+
+@pytest.mark.parametrize("d", [5, 6, 10, 20, 300])
+def test_cvm_kernel_table_matches_quadrature(d):
+    # the fixed 64-point rule against one tight adaptive quadrature per angle
+    # (measured largest gap 2.5e-14; a 32-point rule misses 1e-10 at d = 300)
+    theta, vals = statistics._cvm_kernel_table(d)
+    nodes = sorted({1, 2, 3, *range(31, 1020, 31), 1020, 1021, 1022})
+    ref = [cvm_kernel_quad(d, theta[i]) for i in nodes]
+    np.testing.assert_allclose(vals[nodes], ref, rtol=0.0, atol=1e-10)
 
 
 def test_cvm_kernel_quadrature_branch_is_continuous_in_d():
