@@ -31,8 +31,7 @@ nulls = simulate_null(config, N, competitors=True)
 
 print("Monte Carlo p-values (rejection direction, (r+1)/(R+1)):")
 for name in sorted(observed):
-    lower = name.startswith("ca")
-    p = mc_pvalue(nulls[name], observed[name], lower_tail=lower)
+    p = mc_pvalue(nulls[name], observed[name], name)
     flag = "  <- significant at 5%" if p < 0.05 else ""
     print(f"  {name:>12s}: p = {p:.4f}{flag}")
 

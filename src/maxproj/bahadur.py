@@ -22,6 +22,7 @@ the axis, s = 1.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -38,7 +39,9 @@ from .legendre import (
 ALTERNATIVES = ("vmf", "watson", "lp")
 
 
-def _check_alt(alt, m):
+def _check_alt(alt, d, m):
+    if not (isinstance(d, numbers.Integral) and d >= 2):
+        raise InputError(f"dimension must be an integer >= 2, got {d!r}")
     if alt not in ALTERNATIVES:
         raise InputError(f"alternative must be one of {ALTERNATIVES}, got {alt!r}")
     if alt == "lp" and (m is None or m < 1):
@@ -47,7 +50,6 @@ def _check_alt(alt, m):
 
 def _order(alt, m):
     """The harmonic order k the alternative class perturbs: 1 (vMF), 2 (Watson) or m."""
-    _check_alt(alt, m)
     return 1 if alt == "vmf" else 2 if alt == "watson" else m
 
 
@@ -116,7 +118,7 @@ def kl_divergence(alt, d, kappa, m=None):
     and keeps the integrand O(y^2), so small-kappa values keep their relative
     accuracy, and an error in log c moves the value only to second order.
     """
-    _check_alt(alt, m)
+    _check_alt(alt, d, m)
     if not 0.0 < kappa < math.inf:
         raise InputError(f"kappa must be finite and > 0, got {kappa}")
     if alt == "lp" and kappa > 1.0:
@@ -149,7 +151,7 @@ def kl_divergence(alt, d, kappa, m=None):
 
 def gamma_profile(alt, beta, d, kappa, s, m=None):
     """gamma_kappa as a function of s = cos(angle to the symmetry axis)."""
-    _check_alt(alt, m)
+    _check_alt(alt, d, m)
     if not 0.0 <= kappa < math.inf:
         raise InputError(f"kappa must be finite and >= 0, got {kappa}")
     s = np.asarray(s, dtype=float)
@@ -178,12 +180,13 @@ def gamma_shift(alt, beta, d, kappa, m=None):
 
 def slope(alt, beta, d, kappa, m=None):
     """Approximate Bahadur slope max gamma^2 / sum lambda_j nu_d(j)."""
-    denom = float(ZonalKernel(beta, d).total_variance)
-    return gamma_shift(alt, beta, d, kappa, m=m) / denom
+    shift = gamma_shift(alt, beta, d, kappa, m=m)
+    return shift / float(ZonalKernel(beta, d).total_variance)
 
 
 def local_are(alt, beta, d, m=None):
     """Closed-form local ARE against the likelihood-ratio test."""
+    _check_alt(alt, d, m)
     k = _order(alt, m)
     kernel = ZonalKernel(beta, d)
     if k > beta:

@@ -14,9 +14,9 @@ forks at most one worker pool, after the parent process has imported
 ``scipy.special`` for the competitor battery.  The samplers run on numpy
 alone.
 
-Statistics with an upper rejection tail use the (1 - alpha) null quantile as
-critical value; the random-projection test rejects below its alpha-quantile.
-Monte Carlo p-values carry the +1/(R+1) finite-sample correction.
+Each replication scores :func:`~maxproj.statistics.evaluate_battery`; critical
+values and p-values (with the +1/(R+1) correction) reject in the tail that
+:data:`~maxproj.statistics.LOWER_TAIL` sets for each statistic.
 """
 
 import csv
@@ -37,19 +37,7 @@ from .geometry import latlon_to_unit, make_cover, normalize_rows, uniform_points
 from .limits import limit_quantile, quantile_stderr
 from .rng import NS_NULL, NS_POWER, NS_TEST, stream
 from .samplers import parse_alternative, sample
-from .statistics import (
-    _pairwise_angles,
-    ca_statistic,
-    circle_classical,
-    cvm_statistic,
-    max_projection_values,
-    sphere_sobolev,
-    t1_closed,
-    t2_closed,
-)
-
-#: statistics whose small values are significant
-LOWER_TAIL = {"ca25", "ca100"}
+from .statistics import LOWER_TAIL, evaluate_battery
 
 #: sample-size tokens of the limiting distribution and the route that simulates it
 LIMIT_TOKENS = {"inf": "kernel", "inf*": "harmonic"}
@@ -63,38 +51,6 @@ def default_cover_m(d):
 def default_limit_cover_m(d):
     """Limit-field cover sizes of the simulation study: 1000 for d <= 3, 5000 above."""
     return 1000 if d <= 3 else 5000
-
-
-def evaluate_battery(x, betas, cover_points=None, rng_ca=None):
-    """All statistics of the battery on one sample; returns name -> value.
-
-    The competitors run when ``rng_ca``, the stream of the random-projection
-    directions, is given; without it only the powers ``betas`` are scored.
-    """
-    n, d = x.shape
-    vals = {}
-    betas = sorted(set(betas))
-    cover_betas = [b for b in betas if b > 2]
-    if 1 in betas:
-        vals["T1"] = t1_closed(x)
-    if 2 in betas:
-        vals["T2"] = t2_closed(x)
-    if cover_betas:
-        if cover_points is None:
-            raise InputError("cover required for powers beta >= 3")
-        res = max_projection_values(x, cover_betas, cover_points)
-        vals.update({f"T{b}": v for b, v in res.items()})
-    if rng_ca is None:
-        return vals
-    if d == 2:
-        vals.update(circle_classical(x))
-        vals["ca25"] = ca_statistic(x, 25, rng_ca)
-    else:
-        theta = _pairwise_angles(x)
-        vals.update(sphere_sobolev(x, theta=theta))
-        vals["ca100"] = ca_statistic(x, 100, rng_ca)
-        vals["cvm"] = cvm_statistic(x, theta=theta)
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +247,10 @@ def cmd_critvals(config):
 
 
 def rejection_rates(stats, critvals):
-    out = {}
-    for name, values in stats.items():
-        cv = critvals[name]
-        if name in LOWER_TAIL:
-            out[name] = float(np.mean(values <= cv))
-        else:
-            out[name] = float(np.mean(values > cv))
-    return out
+    """Share of each statistic's values in its rejection tail beyond ``critvals[name]``."""
+    return {name: float(np.mean(values <= critvals[name] if name in LOWER_TAIL
+                                else values > critvals[name]))
+            for name, values in stats.items()}
 
 
 def cmd_power(config):
@@ -335,10 +287,10 @@ def cmd_power(config):
     return _with_provenance(rows, config)
 
 
-def mc_pvalue(null_values, observed, lower_tail=False):
-    """(r + 1) / (R + 1) Monte Carlo p-value in the rejection direction."""
+def mc_pvalue(null_values, observed, name):
+    """(r + 1) / (R + 1) Monte Carlo p-value in the rejection tail of statistic ``name``."""
     null_values = np.asarray(null_values)
-    r = np.sum(null_values <= observed) if lower_tail else np.sum(null_values >= observed)
+    r = np.sum(null_values <= observed) if name in LOWER_TAIL else np.sum(null_values >= observed)
     return float((r + 1) / (null_values.shape[0] + 1))
 
 
@@ -362,7 +314,7 @@ def cmd_test(config):
                 "d": d,
                 "n": n,
                 "value": observed[name],
-                "pvalue": mc_pvalue(nulls[name], observed[name]),
+                "pvalue": mc_pvalue(nulls[name], observed[name], name),
                 "null_replications": config.null_replications,
                 "cover_m": null_config.m,
                 "cover_seed": config.seed,

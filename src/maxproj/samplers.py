@@ -54,8 +54,8 @@ class VonMisesFisher:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", as_unit_vector(self.theta))
-        if self.kappa < 0:
-            raise InputError("concentration must be >= 0")
+        if not 0.0 <= self.kappa < math.inf:
+            raise InputError(f"concentration must be finite and >= 0, got {self.kappa}")
 
     @property
     def d(self):
@@ -69,8 +69,8 @@ class Watson:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", as_unit_vector(self.theta))
-        if self.kappa < 0:
-            raise InputError("negative Watson concentration is out of scope")
+        if not 0.0 <= self.kappa < math.inf:
+            raise InputError(f"Watson concentration must be finite and >= 0, got {self.kappa}")
 
     @property
     def d(self):
@@ -107,6 +107,8 @@ class Bingham:
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError("A must be a square matrix")
+        if not np.isfinite(A).all():
+            raise InputError("A holds a non-finite entry")
         if np.max(np.abs(A - A.T)) > 1e-12:
             raise InputError("A must be symmetric")
         object.__setattr__(self, "A", (A + A.T) / 2.0)

@@ -11,8 +11,9 @@ The module also implements the competitor battery of the simulation study:
 Kuiper, Watson's U^2, Ajne, modified Rayleigh and the random-projection test
 on the circle; Ajne, modified Rayleigh, Bingham, Gine and the projected
 Kolmogorov-Smirnov/Cramer-von Mises tests on higher-dimensional spheres.
-Large values are significant for every statistic except the random-projection
-one, which aggregates p-values by their minimum.
+:func:`evaluate_battery` is the battery's one definition: it picks the
+statistics per d and names them.  Large values are significant except for the
+random-projection test (:data:`LOWER_TAIL`), which takes the minimum p-value.
 """
 
 import math
@@ -34,7 +35,12 @@ __all__ = [
     "ca_statistic",
     "cvm_statistic",
     "cvm_kernel",
+    "evaluate_battery",
+    "LOWER_TAIL",
 ]
+
+#: statistics whose small values are significant
+LOWER_TAIL = {"ca25", "ca100"}
 
 
 def _points(sample):
@@ -319,7 +325,7 @@ def sphere_sobolev(sample, theta=None):
     x = _points(sample)
     n, d = x.shape
     s = (x.T @ x) / n
-    bingham = n * d * (d + 2.0) / 2.0 * (float(np.trace(s @ s)) - 1.0 / d)
+    bingham = n * d * (d + 2.0) / 2.0 * (float(np.sum(s * s)) - 1.0 / d)
     if theta is None:
         theta = _pairwise_angles(x)
     out = {
@@ -328,8 +334,9 @@ def sphere_sobolev(sample, theta=None):
         "bingham": float(bingham),
     }
     if d >= 3:
-        # Gamma(d/2 - 1) / Gamma(d/2) = 2 / (d - 2), which stays finite at any d
-        coeff = 2.0 * (d - 1.0) / (n * (d - 2.0) ** 2)
+        # Gine's G_n, null mean 1/2; Gamma((d-1)/2) / Gamma(d/2) by lgamma stays finite at any d
+        ratio = math.exp(math.lgamma((d - 1) / 2.0) - math.lgamma(d / 2.0))
+        coeff = (d - 1.0) / (2.0 * n) * ratio**2
         out["gine"] = float(n / 2.0 - coeff * np.sum(np.sin(theta)))
     return out
 
@@ -459,3 +466,38 @@ def cvm_statistic(x, theta=None):
         theta = _pairwise_angles(x)
     return float(2.0 / n * np.sum(cvm_kernel(d, theta)) + (3.0 * n - 2.0) / 6.0)
 
+
+# ---------------------------------------------------------------------------
+# the battery
+
+
+def evaluate_battery(x, betas, cover_points=None, rng_ca=None):
+    """All statistics of the battery on one sample; returns name -> value.
+
+    The competitors run when ``rng_ca``, the stream of the random-projection
+    directions, is given; without it only the powers ``betas`` are scored.
+    """
+    n, d = x.shape
+    vals = {}
+    betas = sorted(set(betas))
+    cover_betas = [b for b in betas if b > 2]
+    if 1 in betas:
+        vals["T1"] = t1_closed(x)
+    if 2 in betas:
+        vals["T2"] = t2_closed(x)
+    if cover_betas:
+        if cover_points is None:
+            raise InputError("cover required for powers beta >= 3")
+        res = max_projection_values(x, cover_betas, cover_points)
+        vals.update({f"T{b}": v for b, v in res.items()})
+    if rng_ca is None:
+        return vals
+    if d == 2:
+        vals.update(circle_classical(x))
+        vals["ca25"] = ca_statistic(x, 25, rng_ca)
+    else:
+        theta = _pairwise_angles(x)
+        vals.update(sphere_sobolev(x, theta=theta))
+        vals["ca100"] = ca_statistic(x, 100, rng_ca)
+        vals["cvm"] = cvm_statistic(x, theta=theta)
+    return vals

@@ -108,6 +108,19 @@ def test_kl_input_validation():
         slope("vmf", 3, 3, math.inf)
 
 
+@pytest.mark.parametrize("d", [0, 1, 2.5])
+@pytest.mark.parametrize("call", [
+    lambda d: kl_divergence("vmf", d, 1.0),
+    lambda d: gamma_profile("vmf", 1, d, 1.0, 1.0),
+    lambda d: gamma_shift("vmf", 1, d, 1.0),
+    lambda d: slope("vmf", 1, d, 1.0),
+    lambda d: local_are("vmf", 1, d),
+], ids=["kl_divergence", "gamma_profile", "gamma_shift", "slope", "local_are"])
+def test_dimension_validation(call, d):
+    with pytest.raises(InputError, match="dimension"):
+        call(d)
+
+
 # at d = 2 scipy's 0F1 returns 0 rather than inf once it overflows, and
 # reports an ignored ZeroDivisionError on the way
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")

@@ -146,10 +146,12 @@ def test_evaluate_battery_requires_cover_for_high_powers():
 
 def test_mc_pvalue_correction_and_tails():
     nulls = np.arange(1.0, 100.0)  # 99 values
-    assert mc_pvalue(nulls, 99.5) == pytest.approx(1.0 / 100.0)
-    assert mc_pvalue(nulls, 0.0) == pytest.approx(1.0)
-    assert mc_pvalue(nulls, 0.5, lower_tail=True) == pytest.approx(1.0 / 100.0)
-    assert mc_pvalue(nulls, 50.0) == pytest.approx(51.0 / 100.0)
+    assert mc_pvalue(nulls, 99.5, "T3") == pytest.approx(1.0 / 100.0)
+    assert mc_pvalue(nulls, 0.0, "T3") == pytest.approx(1.0)
+    # the random-projection test rejects in the lower tail
+    assert mc_pvalue(nulls, 0.5, "ca100") == pytest.approx(1.0 / 100.0)
+    assert mc_pvalue(nulls, 0.5, "ca25") == pytest.approx(1.0 / 100.0)
+    assert mc_pvalue(nulls, 50.0, "T3") == pytest.approx(51.0 / 100.0)
 
 
 def test_critical_value_tail_selection():
@@ -306,7 +308,7 @@ def test_pvalues_calibrated_under_uniformity():
     hits = 0
     for r in range(200):
         x = uniform_points(d, n, stream(SEED_SIZE, r))
-        p = mc_pvalue(nulls, float(n * np.linalg.norm(x.mean(axis=0)) ** 2))
+        p = mc_pvalue(nulls, float(n * np.linalg.norm(x.mean(axis=0)) ** 2), "T1")
         hits += p < 0.05
     assert abs(hits / 200 - 0.05) <= 0.03
 

@@ -227,6 +227,16 @@ def test_spec_validation():
         Watson(E1_3, -1.0)
     with pytest.raises(InputError):
         Bingham(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # a non-finite concentration or matrix entry is an input error, not a
+    # failed rejection sampler or eigensolver later
+    for kappa in (-1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            VonMisesFisher(E1_3, kappa)
+        with pytest.raises(InputError):
+            Watson(E1_3, kappa)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            Bingham(np.diag([0.0, bad, 0.0]))
     with pytest.raises(InputError):
         MixtureVMF((1.5, 1.0 - 1.5), (VonMisesFisher(E1_3, 1.0), VonMisesFisher(-E1_3, 1.0)))
     with pytest.raises(InputError):

@@ -332,19 +332,29 @@ def test_bingham_orthonormal_frame_vanishes():
 
 def test_gine_orthogonal_pair_d3():
     out = sphere_sobolev(np.eye(3)[:2])
-    # prefactor 2 (d-1) / (n (d-2)^2) = 2 at d=3, n=2
-    assert out["gine"] == pytest.approx(-1.0, abs=1e-12)
+    # prefactor (d-1)/(2n) (Gamma(1)/Gamma(3/2))^2 = 2/pi at d=3, n=2, and sin(pi/2) = 1
+    assert out["gine"] == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 5, 10, 100])
 def test_gine_matches_the_gamma_form(d):
-    # the prefactor (d-1) Gamma(d/2-1)^2 / (2 n Gamma(d/2)^2), whose gamma
-    # functions overflow at d >= 344, is taken as 2 (d-1) / (n (d-2)^2)
+    # the prefactor (d-1) Gamma((d-1)/2)^2 / (2 n Gamma(d/2)^2), whose gamma
+    # functions overflow at d >= 344, is taken through lgamma; compared on
+    # n/2 - G_n, since G_n itself cancels to about 1/2
     n = 30
     x = uniform_points(d, n, stream(28, d))
-    coeff = (d - 1.0) * math.gamma(d / 2.0 - 1.0) ** 2 / (2.0 * n * math.gamma(d / 2.0) ** 2)
-    gine = n / 2.0 - coeff * np.sum(np.sin(statistics._pairwise_angles(x)))
-    assert sphere_sobolev(x)["gine"] == pytest.approx(gine, rel=1e-14, abs=0.0)
+    coeff = (d - 1.0) * math.gamma((d - 1) / 2.0) ** 2 / (2.0 * n * math.gamma(d / 2.0) ** 2)
+    total = coeff * np.sum(np.sin(statistics._pairwise_angles(x)))
+    assert n / 2.0 - sphere_sobolev(x)["gine"] == pytest.approx(total, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [3, 5, 10, 100])
+def test_gine_null_mean_is_one_half(d):
+    # E G_n = 1/2 under uniformity for every n and d (Gine 1975)
+    rng = stream(29, d)
+    vals = np.array([sphere_sobolev(uniform_points(d, 30, rng))["gine"] for _ in range(2000)])
+    se = vals.std(ddof=1) / math.sqrt(vals.size)
+    assert abs(vals.mean() - 0.5) <= 4.0 * se
 
 
 def test_rayleigh_mod_antipodal_pair():
