@@ -22,13 +22,13 @@ the axis, s = 1.
 """
 
 import math
-import numbers
 
 import numpy as np
 
 from ._errors import InputError, NumericalError
 from .kernels import ZonalKernel
 from .legendre import (
+    check_dimension,
     harmonic_dim,
     legendre_eval,
     monomial_coefficients,
@@ -40,8 +40,7 @@ ALTERNATIVES = ("vmf", "watson", "lp")
 
 
 def _check_alt(alt, d, m):
-    if not (isinstance(d, numbers.Integral) and d >= 2):
-        raise InputError(f"dimension must be an integer >= 2, got {d!r}")
+    check_dimension(d)
     if alt not in ALTERNATIVES:
         raise InputError(f"alternative must be one of {ALTERNATIVES}, got {alt!r}")
     if alt == "lp" and (m is None or m < 1):

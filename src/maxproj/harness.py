@@ -10,9 +10,10 @@ per replication, and for an observed dataset its own seeded cover, recorded
 in the output.
 
 Each command hands all of its simulations to :func:`run_jobs` at once, so it
-forks at most one worker pool, after the parent process has imported
-``scipy.special`` for the competitor battery.  The samplers run on numpy
-alone.
+forks at most one worker pool.  The samplers run on numpy alone, and so does
+the competitor battery up to d = 3; from
+:data:`~maxproj.statistics.SCIPY_FROM_DIM` on, the parent process imports
+``scipy.special`` for it before the pool forks.
 
 Each replication scores :func:`~maxproj.statistics.evaluate_battery`; critical
 values and p-values (with the +1/(R+1) correction) reject in the tail that
@@ -37,7 +38,7 @@ from .geometry import latlon_to_unit, make_cover, normalize_rows, uniform_points
 from .limits import limit_quantile, quantile_stderr
 from .rng import NS_NULL, NS_POWER, NS_TEST, stream
 from .samplers import parse_alternative, sample
-from .statistics import LOWER_TAIL, evaluate_battery
+from .statistics import LOWER_TAIL, SCIPY_FROM_DIM, evaluate_battery
 
 #: sample-size tokens of the limiting distribution and the route that simulates it
 LIMIT_TOKENS = {"inf": "kernel", "inf*": "harmonic"}
@@ -87,10 +88,11 @@ def run_jobs(jobs, workers=1):
     Returns one name -> array dict per job, in job order.  Each job is split
     into chunks of ``max(64, ceil(replications / (4 workers)))``
     replications, and the chunks of all jobs share one fork pool of at most
-    one worker per usable CPU and per chunk.  Before the pool forks, the
-    parent imports ``scipy.special`` for the competitor battery, so that the
-    workers share that one import.  The values do not depend on the number of
-    workers.
+    one worker per usable CPU and per chunk.  If a job scores the competitor
+    battery at d >= :data:`~maxproj.statistics.SCIPY_FROM_DIM`, which calls
+    ``scipy.special``, the parent imports it before the pool forks, so that
+    the workers share that one import.  The values do not depend on the
+    number of workers.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, cpus or 1)
@@ -103,9 +105,9 @@ def run_jobs(jobs, workers=1):
     if workers <= 1 or len(chunks) <= 1:
         results = [_worker_chunk(c) for c in chunks]
     else:
-        if any(task["competitors"] for task, _ in jobs):
-            # the competitor battery calls scipy.special: import it once here, so
-            # that the forked workers share it instead of each importing it
+        if any(task["competitors"] and task["d"] >= SCIPY_FROM_DIM for task, _ in jobs):
+            # import it once here, so that the forked workers share it
+            # instead of each importing it
             import scipy.special  # noqa: F401
         with get_context("fork").Pool(processes=min(workers, len(chunks))) as pool:
             results = pool.map(_worker_chunk, chunks, chunksize=1)

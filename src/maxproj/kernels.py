@@ -19,6 +19,7 @@ import numpy as np
 
 from ._errors import InputError
 from .legendre import (
+    check_dimension,
     harmonic_dim,
     monomial_coefficients,
     polynomial_eval,
@@ -44,8 +45,7 @@ class ZonalKernel:
     def __post_init__(self):
         if self.beta < 1:
             raise InputError(f"beta must be >= 1, got {self.beta}")
-        if self.d < 2:
-            raise InputError(f"dimension must be >= 2, got {self.d}")
+        check_dimension(self.d)
 
     @cached_property
     def eigenvalues(self):

@@ -22,6 +22,7 @@ Key objects
 """
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,25 +30,34 @@ import numpy as np
 
 from ._errors import InputError, NumericalError
 
+
+def check_dimension(d):
+    """Raise :class:`InputError` unless the sphere dimension d is an integer >= 2.
+
+    The caches below are typed, so that a float d equal to a cached integer
+    d still reaches this check.
+    """
+    if not (isinstance(d, numbers.Integral) and d >= 2):
+        raise InputError(f"dimension must be an integer >= 2, got {d!r}")
+
+
 def harmonic_dim(d, k):
     """Dimension nu_d(k) of the space of order-k spherical harmonics on S^{d-1}."""
-    if d < 2:
-        raise InputError(f"dimension must be >= 2, got {d}")
+    check_dimension(d)
     if k < 0:
         raise InputError(f"order must be >= 0, got {k}")
     second = math.comb(d + k - 3, k - 2) if k >= 2 else 0
     return math.comb(d + k - 1, k) - second
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def monomial_coefficients(d, k):
     """Exact monomial coefficients of P_k for S^{d-1}.
 
     Returns a tuple ``a`` of k+1 Fractions with P_k(t) = sum_i a[i] t^i.
     Coefficients with index of the wrong parity are zero.
     """
-    if d < 2:
-        raise InputError(f"dimension must be >= 2, got {d}")
+    check_dimension(d)
     if k < 0:
         raise InputError(f"order must be >= 0, got {k}")
     if k == 0:
@@ -69,7 +79,7 @@ def monomial_coefficients(d, k):
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _monomial_floats(d, k):
     return np.array([float(a) for a in monomial_coefficients(d, k)])
 
@@ -88,13 +98,14 @@ def legendre_eval(d, k, t):
     return polynomial_eval(_monomial_floats(d, k), t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def power_expansion(d, m):
     """Exact coefficients c_j, j = 0..m, of t^m = sum_j c_j P_j(t), as a tuple of Fractions.
 
     Found by an exact triangular solve.  The coefficients vanish whenever
     j+m is odd, and c_0 equals psi_d(m).
     """
+    check_dimension(d)
     if m < 0:
         raise InputError(f"power must be >= 0, got {m}")
     residual = [Fraction(0)] * (m + 1)
@@ -114,6 +125,7 @@ def power_expansion(d, m):
 
 def psi_exact(d, beta):
     """E (b.U)^beta for uniform U, as an exact Fraction (0 for odd beta)."""
+    check_dimension(d)
     if beta < 0:
         raise InputError(f"power must be >= 0, got {beta}")
     if beta % 2 == 1:

@@ -37,16 +37,19 @@ __all__ = [
     "cvm_kernel",
     "evaluate_battery",
     "LOWER_TAIL",
+    "SCIPY_FROM_DIM",
 ]
 
 #: statistics whose small values are significant
 LOWER_TAIL = {"ca25", "ca100"}
 
 
-def _points(sample):
+def _points(sample, what="sample"):
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2:
         raise InputError(f"expected an (n, d) array of points, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise InputError(f"the {what} holds a non-finite coordinate")
     return x
 
 
@@ -84,17 +87,13 @@ def max_projection_values(x, betas, cover_points):
     :class:`InputError` on both routes.
     """
     x = _points(x)
-    cov = _points(cover_points)
+    cov = _points(cover_points, "cover")
     if x.shape[0] == 0:
         raise InputError("the sample holds no point")
-    if not np.isfinite(x).all():
-        raise InputError("the sample holds a non-finite coordinate")
     if cov.shape[1] != x.shape[1]:
         raise InputError(f"cover dimension {cov.shape[1]} != sample dimension {x.shape[1]}")
     if cov.shape[0] == 0:
         raise InputError("the cover holds no direction")
-    if not np.isfinite(cov).all():
-        raise InputError("the cover holds a non-finite coordinate")
     betas = sorted(set(int(b) for b in betas))
     if not betas or betas[0] < 1:
         raise InputError("powers must be >= 1")
@@ -345,11 +344,16 @@ def sphere_sobolev(sample, theta=None):
 # projected goodness-of-fit tests
 
 
+#: the competitor battery calls scipy.special from this dimension on:
+#: ``betainc`` in :func:`projection_cdf` and ``beta`` in the CvM kernel table
+SCIPY_FROM_DIM = 4
+
+
 def projection_cdf(d, y):
     """CDF of a fixed projection b.U of a uniform direction, F_{d-1}(y).
 
     Closed forms at d = 2 (arcsine law) and d = 3 (uniform law, Archimedes);
-    the regularized incomplete beta function above.
+    the regularized incomplete beta function from :data:`SCIPY_FROM_DIM` on.
     """
     if d < 2:
         raise InputError(f"dimension must be >= 2, got {d}")
@@ -374,15 +378,45 @@ def _projection_pdf(d, y):
     return (1.0 - y * y) ** ((d - 3) / 2.0) / sps.beta(0.5, (d - 1) / 2.0)
 
 
+def _kolmogorov_sf(x):
+    """Survival function Q(x) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 x^2) of the Kolmogorov law.
+
+    A port of the two-series evaluation of ``scipy.special.kolmogorov``, in
+    the same operations and order, so that it returns the same double.  Up
+    to x = 0.82 the theta-transformed series
+    1 - sqrt(2 pi)/x sum_k exp(-(2k-1)^2 pi^2 / (8 x^2)) converges in four
+    terms, above it the alternating series in v = exp(-2 x^2) does.
+    """
+    if math.isnan(x):
+        return math.nan
+    # here exp(-pi^2 / (8 x^2)) < exp(-746) underflows to 0, and 1 - Q(x) to it
+    if x <= math.pi / math.sqrt(8 * 746):
+        return 1.0
+    if x <= 0.82:
+        w = math.sqrt(2 * math.pi) / x
+        logu8 = -math.pi * math.pi / (x * x)
+        u = math.exp(logu8 / 8)
+        if u == 0.0:
+            p = math.exp(logu8 / 8 + math.log(w))
+        else:
+            u8 = math.exp(logu8)
+            p = w * u * (1.0 + u8 * (1.0 + u8 * u8 * (1.0 + u8**3)))
+        sf = 1.0 - p
+    else:
+        v = math.exp(-2 * x * x)
+        v3 = v**3
+        sf = 2 * v * (1.0 - v3 * (1.0 - v3 * (v * v) * (1.0 - v3 * v3 * v)))
+    return min(max(sf, 0.0), 1.0)
+
+
 def ca_statistic(x, q, rng):
     """Minimum of q projected-KS p-values; small values are significant.
 
-    The p-values are asymptotic Kolmogorov tails Q(sqrt(n) KS), and Q is
+    The p-values are asymptotic Kolmogorov tails Q(sqrt(n) KS), computed in
+    ``math`` and equal to ``scipy.special.kolmogorov`` to the last bit.  Q is
     decreasing, so the smallest p-value is the one of the largest KS distance:
     all q columns are sorted and scored at once.
     """
-    from scipy import special as sps
-
     x = _points(x)
     n, d = x.shape
     h = uniform_points(d, q, rng)
@@ -390,7 +424,7 @@ def ca_statistic(x, q, rng):
     f = projection_cdf(d, v)
     i = np.arange(1, n + 1)[:, None]
     k = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
-    return float(sps.kolmogorov(math.sqrt(n) * k))
+    return _kolmogorov_sf(math.sqrt(n) * k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """What the package and its commands import, and when.
 
 ``critvals``, ``test`` and the kernel ``limit`` route run on numpy alone, so
-they must start without scipy.  ``power`` loads ``scipy.special`` for its
-competitor battery and nothing else of scipy, in any dimension: the CvM kernel
-table at d >= 5 is one Gauss-Legendre pass over ``scipy.special`` functions,
-and its samplers and its projection CDF at d <= 3 need no scipy.  Commands
-that do call scipy load it in the parent process before a worker pool forks,
-and the forked workers import nothing at all: a module imported after the fork
-is imported once per worker.
+they must start without scipy, and so must ``power`` at d <= 3: its samplers,
+its projection CDF (closed forms at d = 2 and 3) and its Kolmogorov tail
+(computed in ``math``) need no scipy.  From d = 4 on, ``power`` loads
+``scipy.special`` for ``betainc`` in the projection CDF, and at d >= 5 also
+for the CvM kernel table, one Gauss-Legendre pass over ``scipy.special``
+functions; it loads nothing else of scipy.  Commands that do call scipy load
+it in the parent process before a worker pool forks, and the forked workers
+import nothing at all: a module imported after the fork is imported once per
+worker.
 Every command here runs at least 128 replications, two chunks of 64, so that
 ``--workers 2`` really forks.
 """
@@ -24,6 +26,8 @@ from conftest import run_python
 
 POWER = ["power", "--d", "3", "--reps", "128", "--power-reps", "128",
          "--alt=vmf:kappa=1", "--alt=bing1:kappa=1", "--workers", "2"]
+POWER_D2 = ["power", "--d", "2", "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1",
+            "--workers", "2"]
 
 
 def python(*args):
@@ -61,7 +65,9 @@ def test_importing_the_package_loads_no_scipy():
     ["test", "--data", "{catalogue}", "--reps", "128", "--cover-m", "500", "--workers", "2"],
     ["limit", "--d", "3", "--beta", "3", "4", "--method", "kernel", "--cover-m", "200",
      "--reps", "500"],
-], ids=["critvals", "test", "limit-kernel"])
+    POWER,
+    POWER_D2,
+], ids=["critvals", "test", "limit-kernel", "power", "power-d2"])
 def test_numpy_only_commands_import_no_scipy(argv, catalogue):
     argv = [a.format(catalogue=catalogue) for a in argv]
     scipy = [m for m in imported_modules(argv) if m.split(".")[0] == "scipy"]
@@ -72,11 +78,10 @@ def test_power_loads_scipy_once_before_workers_fork():
     # the CvM kernel table at d >= 5 needs neither scipy.integrate nor scipy.linalg
     power_d5 = ["power", "--d", "5", "--n", "12", "--beta", "1", "2", "3", "--cover-m", "50",
                 "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1", "--workers", "2"]
-    for argv in (POWER, power_d5):
-        modules = imported_modules(argv)
-        assert modules.count("scipy.special") == 1
-        assert [m for m in modules
-                if m in ("scipy.optimize", "scipy.integrate", "scipy.linalg")] == []
+    modules = imported_modules(power_d5)
+    assert modules.count("scipy.special") == 1
+    assert [m for m in modules
+            if m in ("scipy.optimize", "scipy.integrate", "scipy.linalg")] == []
 
 
 _FORK_PROBE = textwrap.dedent("""
@@ -103,8 +108,7 @@ _FORK_PROBE = textwrap.dedent("""
 @pytest.mark.parametrize("argv", [
     ["critvals", "--d", "3", "--reps", "128", "--workers", "2"],
     POWER,
-    ["power", "--d", "2", "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1",
-     "--workers", "2"],
+    POWER_D2,
     # the projection CDF at d >= 4 is scipy.special.betainc
     ["power", "--d", "4", "--n", "30", "--beta", "1", "2", "3", "--cover-m", "200",
      "--reps", "128", "--power-reps", "64", "--alt=bing1:kappa=1", "--workers", "2"],

@@ -6,6 +6,7 @@ import pytest
 
 from maxproj import InputError
 from maxproj.geometry import surface_area, uniform_points
+from maxproj.kernels import ZonalKernel
 from maxproj.legendre import (
     harmonic_dim,
     legendre_eval,
@@ -84,6 +85,27 @@ def test_harmonic_dim_special_cases():
         assert harmonic_dim(2, k) == 2
         assert harmonic_dim(3, k) == 2 * k + 1
     assert harmonic_dim(5, 2) == 14
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: psi(d, 2),
+    lambda d: psi_exact(d, 2),
+    lambda d: monomial_coefficients(d, 2),
+    lambda d: legendre_eval(d, 2, 0.5),
+    lambda d: harmonic_dim(d, 2),
+    lambda d: power_expansion(d, 2),
+    lambda d: ZonalKernel(3, d),
+], ids=["psi", "psi_exact", "monomial_coefficients", "legendre_eval", "harmonic_dim",
+        "power_expansion", "ZonalKernel"])
+def test_dimension_must_be_an_integer_at_least_two(call):
+    for d in (-1, 0, 1, 2.5):
+        with pytest.raises(InputError, match="integer >= 2"):
+            call(d)
+    # numpy integers are dimensions; a float is not, even once the integer is cached
+    call(np.int64(3))
+    call(3)
+    with pytest.raises(InputError, match="integer >= 2"):
+        call(3.0)
 
 
 # --- polynomial values --------------------------------------------------------

@@ -107,6 +107,19 @@ def test_non_finite_or_empty_sample_rejected(n, moment_route):
         max_projection_values(np.empty((0, 3)), betas, cover)
 
 
+@pytest.mark.parametrize("statistic", [
+    t1_closed, t2_closed, circle_classical, sphere_sobolev, cvm_statistic,
+    lambda x: ca_statistic(x, 25, stream(63)),
+], ids=["t1_closed", "t2_closed", "circle_classical", "sphere_sobolev", "cvm_statistic",
+        "ca_statistic"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_rejected_by_every_statistic(statistic, bad):
+    x = uniform_points(2, 30, stream(62))
+    x[4, 0] = bad
+    with pytest.raises(InputError, match="sample holds a non-finite"):
+        statistic(x)
+
+
 @pytest.mark.parametrize("n, moment_route", [(100, True), (20, False)])
 def test_non_finite_cover_rejected(n, moment_route):
     x = uniform_points(3, n, stream(1))
@@ -451,6 +464,35 @@ def test_ca_statistic_matches_per_column_loop():
                 sps.kolmogorov(math.sqrt(50) * ks_statistic(proj[:, j], d=d)) for j in range(q)
             )
             assert ca_statistic(x, q, stream(29, d, r)) == expect
+
+
+#: both series of the Kolmogorov tail, with extra points below 0.05 (the
+#: cut to 1 and the underflow fallback), around the cutover at 0.82, and up
+#: to 40, where the tail underflows to 0 (from about x = 19.3)
+KOLMOGOROV_GRID = np.concatenate([
+    np.linspace(-1.0, 40.0, 200_001),
+    np.linspace(0.0, 0.05, 20_001),
+    np.linspace(0.80, 0.84, 20_001),
+    0.82 + np.arange(-100, 101) * np.spacing(0.82),
+    [math.pi / math.sqrt(8 * 746), math.inf],
+])
+
+
+def test_kolmogorov_sf_equals_scipy_on_grid():
+    got = np.array([statistics._kolmogorov_sf(float(x)) for x in KOLMOGOROV_GRID])
+    np.testing.assert_array_equal(got, sps.kolmogorov(KOLMOGOROV_GRID))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.floats(-1.0, 40.0), b=st.floats(-1.0, 40.0))
+def test_kolmogorov_sf_is_scipys_tail(a, b):
+    lo, hi = sorted((a, b))
+    q_lo, q_hi = statistics._kolmogorov_sf(lo), statistics._kolmogorov_sf(hi)
+    assert q_lo == sps.kolmogorov(lo) and q_hi == sps.kolmogorov(hi)
+    # non-increasing up to the rounding of 1 - P, which scipy's evaluation
+    # shares: it rises by one ulp between some adjacent floats near 0.45 and 0.75
+    assert 0.0 <= q_hi <= q_lo + math.ulp(q_lo) and q_lo <= 1.0
+    assert math.isnan(statistics._kolmogorov_sf(math.nan))
 
 
 class _StableSortNumpy:
