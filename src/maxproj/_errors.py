@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of every count.
 
 The CLI maps these onto exit codes: usage errors (bad options, InputError)
-exit 1, DataError exits 2, NumericalError exits 3.
+exit 1, DataError exits 2, NumericalError exits 3.  Every count (dimension,
+power, order, sample, cover or replication size, worker count, seed) is
+checked by :func:`check_integer`, with one message format.
 """
+
+import numbers
 
 
 class InputError(ValueError):
@@ -15,3 +19,16 @@ class DataError(InputError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to reach its tolerance or to converge."""
+
+
+def check_integer(value, minimum, name):
+    """Raise :class:`InputError` unless ``value`` is an int or numpy integer >= ``minimum``."""
+    # a plain int skips the abstract-class isinstance, which costs ten times as much
+    integer = type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and value >= minimum):
+        raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_dimension(d):
+    """Raise :class:`InputError` unless the sphere dimension d is an integer >= 2."""
+    check_integer(d, 2, "dimension")

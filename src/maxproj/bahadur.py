@@ -25,10 +25,9 @@ import math
 
 import numpy as np
 
-from ._errors import InputError, NumericalError
+from ._errors import InputError, NumericalError, check_dimension, check_integer
 from .kernels import ZonalKernel
 from .legendre import (
-    check_dimension,
     harmonic_dim,
     legendre_eval,
     monomial_coefficients,
@@ -43,8 +42,8 @@ def _check_alt(alt, d, m):
     check_dimension(d)
     if alt not in ALTERNATIVES:
         raise InputError(f"alternative must be one of {ALTERNATIVES}, got {alt!r}")
-    if alt == "lp" and (m is None or m < 1):
-        raise InputError("the profile class needs an order m >= 1")
+    if alt == "lp":
+        check_integer(m, 1, "profile order")
 
 
 def _order(alt, m):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from ._errors import InputError
+from ._errors import InputError, check_dimension, check_integer
 from .rng import NS_COVER, as_generator, stream
 
 #: rows farther than this from unit norm get renormalized
@@ -20,8 +20,7 @@ REPAIR_FLOOR = 1e-8
 
 def surface_area(d):
     """Surface area of the unit sphere S^{d-1} in R^d, 2*pi^{d/2}/Gamma(d/2)."""
-    if d <= 0:
-        raise InputError(f"dimension must be positive, got {d}")
+    check_integer(d, 1, "dimension")
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
@@ -58,10 +57,8 @@ def as_unit_vector(v):
 
 def uniform_points(d, n, rng):
     """Raw ``(n, d)`` array of iid uniform directions (normalized Gaussians)."""
-    if d < 2:
-        raise InputError(f"dimension must be >= 2, got {d}")
-    if n < 1:
-        raise InputError(f"need n >= 1 draws, got {n}")
+    check_dimension(d)
+    check_integer(n, 1, "number of points")
     rng = as_generator(rng)
     x = rng.standard_normal((n, d))
     norms = np.linalg.norm(x, axis=1)

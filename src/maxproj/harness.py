@@ -24,7 +24,7 @@ import csv
 import io
 import json
 import math
-import numbers
+import operator
 import os
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
@@ -32,7 +32,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import __version__
-from ._errors import DataError, InputError
+from ._errors import DataError, InputError, check_dimension, check_integer
 from .bahadur import STUDY_DIMS, are_table
 from .geometry import latlon_to_unit, make_cover, normalize_rows, uniform_points
 from .limits import limit_quantile, quantile_stderr
@@ -138,7 +138,10 @@ class RunConfig:
     the limit-field simulation of :func:`cmd_limit` and of the ``inf``/``inf*``
     rows, where ``cover_m=None`` stands for :func:`default_limit_cover_m`.
     Repeated sample sizes and powers are dropped, keeping the first of each
-    in order, so that no row or simulation is repeated.
+    in order, so that no row or simulation is repeated.  Every count must be
+    an integer (numpy's too) at or above its minimum, checked by
+    :func:`~maxproj._errors.check_integer`: 2 for ``d``, 0 for ``seed`` and 1
+    for ``cover_m``, the replications, ``workers``, each power and finite n.
     """
 
     d: int = 2
@@ -157,28 +160,26 @@ class RunConfig:
     limit_method: str = "kernel"
 
     def __post_init__(self):
-        if self.d < 2:
-            raise InputError(f"dimension must be >= 2, got {self.d}")
-        if self.cover_m is not None and self.cover_m < 1:
-            raise InputError("cover_m must be >= 1")
+        check_dimension(self.d)
+        if self.cover_m is not None:
+            check_integer(self.cover_m, 1, "cover_m")
         if not 0.0 < self.alpha < 1.0:
             raise InputError("alpha must lie in (0, 1)")
         for attr in ("null_replications", "power_replications", "workers"):
-            if getattr(self, attr) < 1:
-                raise InputError(f"{attr} must be >= 1")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+            check_integer(getattr(self, attr), 1, attr)
+        check_integer(self.seed, 0, "seed")
         if self.min_diameter is not None and math.isnan(self.min_diameter):
             raise InputError("min_diameter must be a number, got nan")
         for n in self.n:
             if isinstance(n, str):
                 if n not in LIMIT_TOKENS:
                     raise InputError(f"unknown sample-size token {n!r}")
-            elif n < 1:
-                raise InputError(f"sample sizes must be >= 1, got {n}")
-        if not self.betas or not all(isinstance(b, numbers.Integral) and b >= 1
-                                     for b in self.betas):
-            raise InputError(f"powers must be integers >= 1, got {list(self.betas)}")
+            else:
+                check_integer(n, 1, "sample size")
+        if not self.betas:
+            raise InputError("no power given")
+        for b in self.betas:
+            check_integer(b, 1, "power")
         self.n = tuple(dict.fromkeys(self.n))
         self.betas = tuple(dict.fromkeys(self.betas))
 
@@ -203,7 +204,7 @@ def _null_job(config, n, competitors=False):
 
 
 def simulate_null(config, n, competitors=False):
-    return run_replications(*_null_job(config, int(n), competitors), config.workers)
+    return run_replications(*_null_job(config, n, competitors), config.workers)
 
 
 def _with_provenance(rows, config):
@@ -229,14 +230,13 @@ def cmd_critvals(config):
     ``n`` entries may be integers or the tokens ``inf`` (covariance route) and
     ``inf*`` (harmonics route) for the limiting distribution.
     """
-    finite = [int(n) for n in config.n if not isinstance(n, str)]
+    finite = [n for n in config.n if not isinstance(n, str)]
     nulls = dict(zip(finite, run_jobs([_null_job(config, n) for n in finite], config.workers)))
     rows = []
     for n in config.n:
         if isinstance(n, str):
             cells = _limit_cells(config, LIMIT_TOKENS[n])
         else:
-            n = int(n)
             cells = [(name, critical_value(values, config.alpha, name),
                       quantile_stderr(values, _level(name, config.alpha)),
                       config.null_replications, config.m)
@@ -261,7 +261,7 @@ def cmd_power(config):
         raise InputError("no alternatives requested; pass at least one spec string")
     if len(config.n) != 1 or isinstance(config.n[0], str):
         raise InputError("power tables use exactly one finite sample size")
-    n = int(config.n[0])
+    n = config.n[0]
     alternatives = [parse_alternative(alt_text, config.d) for alt_text in config.alternatives]
     jobs = [_null_job(config, n, competitors=True)]
     jobs += [(_task(config, n, (NS_POWER, a_idx), spec, competitors=True),
@@ -471,7 +471,7 @@ def write_rows(rows, fmt="csv", path=None):
             writer.writerow({k: _fmt_cell(v) for k, v in row.items()})
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(rows, indent=2, sort_keys=True, default=operator.index) + "\n"
     else:
         raise InputError(f"unknown output format {fmt!r}")
     if path is None:
@@ -487,6 +487,4 @@ def write_rows(rows, fmt="csv", path=None):
 def _fmt_cell(v):
     if isinstance(v, float):
         return repr(float(v))  # shortest round-trip form, also for numpy scalars
-    if isinstance(v, (np.integer,)):
-        return int(v)
     return v

@@ -17,9 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._errors import InputError
+from ._errors import check_dimension, check_integer
 from .legendre import (
-    check_dimension,
     harmonic_dim,
     monomial_coefficients,
     polynomial_eval,
@@ -43,8 +42,7 @@ class ZonalKernel:
     d: int
 
     def __post_init__(self):
-        if self.beta < 1:
-            raise InputError(f"beta must be >= 1, got {self.beta}")
+        check_integer(self.beta, 1, "power")
         check_dimension(self.d)
 
     @cached_property

@@ -22,34 +22,23 @@ Key objects
 """
 
 import math
-import numbers
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from ._errors import InputError, NumericalError
-
-
-def check_dimension(d):
-    """Raise :class:`InputError` unless the sphere dimension d is an integer >= 2.
-
-    The caches below are typed, so that a float d equal to a cached integer
-    d still reaches this check.
-    """
-    if not (isinstance(d, numbers.Integral) and d >= 2):
-        raise InputError(f"dimension must be an integer >= 2, got {d!r}")
+from ._errors import InputError, NumericalError, check_dimension, check_integer
 
 
 def harmonic_dim(d, k):
     """Dimension nu_d(k) of the space of order-k spherical harmonics on S^{d-1}."""
     check_dimension(d)
-    if k < 0:
-        raise InputError(f"order must be >= 0, got {k}")
+    check_integer(k, 0, "order")
     second = math.comb(d + k - 3, k - 2) if k >= 2 else 0
     return math.comb(d + k - 1, k) - second
 
 
+# typed caches: a float d equal to a cached int d still reaches check_dimension
 @lru_cache(maxsize=None, typed=True)
 def monomial_coefficients(d, k):
     """Exact monomial coefficients of P_k for S^{d-1}.
@@ -58,8 +47,7 @@ def monomial_coefficients(d, k):
     Coefficients with index of the wrong parity are zero.
     """
     check_dimension(d)
-    if k < 0:
-        raise InputError(f"order must be >= 0, got {k}")
+    check_integer(k, 0, "order")
     if k == 0:
         return (Fraction(1),)
     coeffs = [Fraction(0)] * (k + 1)
@@ -106,8 +94,7 @@ def power_expansion(d, m):
     j+m is odd, and c_0 equals psi_d(m).
     """
     check_dimension(d)
-    if m < 0:
-        raise InputError(f"power must be >= 0, got {m}")
+    check_integer(m, 0, "power")
     residual = [Fraction(0)] * (m + 1)
     residual[m] = Fraction(1)
     c = [Fraction(0)] * (m + 1)
@@ -126,8 +113,7 @@ def power_expansion(d, m):
 def psi_exact(d, beta):
     """E (b.U)^beta for uniform U, as an exact Fraction (0 for odd beta)."""
     check_dimension(d)
-    if beta < 0:
-        raise InputError(f"power must be >= 0, got {beta}")
+    check_integer(beta, 0, "power")
     if beta % 2 == 1:
         return Fraction(0)
     s = beta // 2

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ._errors import InputError, NumericalError
+from ._errors import InputError, NumericalError, check_integer
 from .geometry import make_cover, surface_area
 from .kernels import ZonalKernel
 from .legendre import harmonic_dim
@@ -55,8 +55,8 @@ def harmonic_basis(d, orders, points):
     """
     if d not in (2, 3):
         raise InputError("harmonic bases implemented for d in {2, 3} only")
-    if any(k < 0 for k in orders):
-        raise InputError("orders must be >= 0")
+    for k in orders:
+        check_integer(k, 0, "order")
     pts = np.asarray(points, dtype=float)
     blocks = [_circle_block(k, pts) if d == 2 else _real_sph_harm_block(k, pts)
               for k in orders]
@@ -120,7 +120,8 @@ def _batched_max_square(transfer, replications, rng):
 
 def simulate_kernel_max(beta, d, m, replications, seed=0):
     """Maxima of the squared field over a cover of ``m`` directions, via the covariance route."""
-    cover = make_cover(d, int(m), stream(seed, NS_LIMIT, 0))
+    check_integer(replications, 1, "replications")
+    cover = make_cover(d, m, stream(seed, NS_LIMIT, 0))
     kernel = ZonalKernel(beta, d)
     sigma = kernel.gram(cover)
     eigvals, eigvecs = np.linalg.eigh(sigma)
@@ -132,7 +133,7 @@ def simulate_kernel_max(beta, d, m, replications, seed=0):
     transfer = eigvecs[:, keep] * np.sqrt(clipped[keep])
     del sigma, eigvecs  # the two m x m matrices are not needed by the draws
     rng = stream(seed, NS_LIMIT, 1)
-    return _batched_max_square(transfer, int(replications), rng)
+    return _batched_max_square(transfer, replications, rng)
 
 
 def simulate_harmonic_max(beta, d, m, replications, seed=0):
@@ -141,19 +142,20 @@ def simulate_harmonic_max(beta, d, m, replications, seed=0):
     The field is sum_k sqrt(|S^{d-1}| lambda_k) sum_j xi_kj phi_kj over the
     orders k with a nonzero eigenvalue lambda_k, with iid standard normal xi.
     """
+    check_integer(replications, 1, "replications")
     if d not in (2, 3):
         raise InputError("harmonic route implemented for d in {2, 3}; use the kernel route")
     if beta > MAX_HARMONIC_BETA:
         raise InputError(f"harmonic route implemented for beta <= {MAX_HARMONIC_BETA}")
     eigenvalues = ZonalKernel(beta, d).eigenvalues
     orders = [k for k, lam in enumerate(eigenvalues) if lam]
-    cover = make_cover(d, int(m), stream(seed, NS_LIMIT, 0))
+    cover = make_cover(d, m, stream(seed, NS_LIMIT, 0))
     phi = harmonic_basis(d, orders, cover)
     scale = np.array([math.sqrt(surface_area(d) * float(eigenvalues[k]))
                       for k in orders for _ in range(harmonic_dim(d, k))])
     transfer = phi * scale[None, :]
     rng = stream(seed, NS_LIMIT, 1)
-    return _batched_max_square(transfer, int(replications), rng)
+    return _batched_max_square(transfer, replications, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ free integers such as a replication index.
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, before any worker forks
 
-from ._errors import InputError
+from ._errors import check_integer
 
 # Namespace constants; never renumber, streams are part of the output contract.
 NS_COVER = 1
@@ -39,10 +39,9 @@ def stream(seed, *path):
     -------
     numpy.random.Generator
     """
-    if seed < 0:
-        raise InputError("seed must be non-negative")
+    check_integer(seed, 0, "seed")
     key = tuple(int(p) for p in path)
-    ss = np.random.SeedSequence(int(seed), spawn_key=key)
+    ss = np.random.SeedSequence(seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -50,4 +49,4 @@ def as_generator(seed_or_rng):
     """Coerce an int seed or a Generator into a Generator."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return stream(int(seed_or_rng))
+    return stream(seed_or_rng)

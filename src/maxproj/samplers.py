@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._errors import InputError, NumericalError
+from ._errors import InputError, NumericalError, check_integer
 from .geometry import as_unit_vector, uniform_points
 from .legendre import legendre_eval
 from .rng import as_generator
@@ -87,7 +87,8 @@ class LegendreProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", as_unit_vector(self.theta))
-        if not 1 <= self.m <= MAX_PROFILE_ORDER:
+        check_integer(self.m, 1, "profile order")
+        if self.m > MAX_PROFILE_ORDER:
             raise InputError(f"profile order must lie in 1..{MAX_PROFILE_ORDER}, got {self.m}")
         if not 0.0 <= self.kappa <= 1.0:
             raise InputError("kappa must lie in [0, 1] for a non-negative density")
@@ -266,8 +267,7 @@ def sample(spec, n, rng):
 
     Returns an ``(n, d)`` array of unit rows.
     """
-    if n < 1:
-        raise InputError(f"need n >= 1 draws, got {n}")
+    check_integer(n, 1, "sample size")
     rng = as_generator(rng)
     if isinstance(spec, Uniform):
         return uniform_points(spec.d, n, rng)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._errors import InputError
+from ._errors import InputError, check_dimension, check_integer
 from .geometry import uniform_points
 from .legendre import psi
 
@@ -45,9 +45,13 @@ LOWER_TAIL = {"ca25", "ca100"}
 
 
 def _points(sample, what="sample"):
+    """``sample`` as n >= 1 finite float rows of d >= 2 coordinates; ``what`` names it."""
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2:
         raise InputError(f"expected an (n, d) array of points, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise InputError(f"the {what} holds no {'direction' if what == 'cover' else 'point'}")
+    check_dimension(x.shape[1])
     if not np.isfinite(x).all():
         raise InputError(f"the {what} holds a non-finite coordinate")
     return x
@@ -83,20 +87,18 @@ def max_projection_values(x, betas, cover_points):
     The route is chosen by a fixed cost rule in (d, n, m, beta_max) only
     (:func:`_moment_route_cheaper`), so a run's output bytes do not depend on
     how its replications are split over workers.  A sample or cover that is
-    not two-dimensional, is empty or holds a non-finite coordinate raises
-    :class:`InputError` on both routes.
+    not an (n >= 1, d >= 2) array of finite coordinates, or a power that is
+    not an integer >= 1, raises :class:`InputError` on both routes.
     """
     x = _points(x)
     cov = _points(cover_points, "cover")
-    if x.shape[0] == 0:
-        raise InputError("the sample holds no point")
     if cov.shape[1] != x.shape[1]:
         raise InputError(f"cover dimension {cov.shape[1]} != sample dimension {x.shape[1]}")
-    if cov.shape[0] == 0:
-        raise InputError("the cover holds no direction")
-    betas = sorted(set(int(b) for b in betas))
-    if not betas or betas[0] < 1:
-        raise InputError("powers must be >= 1")
+    for b in betas:
+        check_integer(b, 1, "power")
+    betas = sorted(set(betas))
+    if not betas:
+        raise InputError("no power given")
     n, d = x.shape
     if _moment_route_cheaper(d, n, cov.shape[0], betas[-1]):
         return _moment_values(x, betas, cov)
@@ -355,8 +357,7 @@ def projection_cdf(d, y):
     Closed forms at d = 2 (arcsine law) and d = 3 (uniform law, Archimedes);
     the regularized incomplete beta function from :data:`SCIPY_FROM_DIM` on.
     """
-    if d < 2:
-        raise InputError(f"dimension must be >= 2, got {d}")
+    check_dimension(d)
     y = np.asarray(y, dtype=float)
     yc = np.clip(y, -1.0, 1.0)
     if d == 2:
@@ -470,6 +471,7 @@ def cvm_kernel(d, theta):
 
     Closed forms for d in {2, 3, 4}; the cached table's interpolant above.
     """
+    check_dimension(d)
     theta = np.asarray(theta, dtype=float)
     if d == 2:
         u = theta / (2.0 * math.pi)
@@ -484,11 +486,9 @@ def cvm_kernel(d, theta):
         half = safe / 2.0
         corr = (math.pi - safe) * np.tan(half) - 2.0 * np.sin(half) ** 2
         out = zeta1 + corr / (4.0 * math.pi**2)
-    elif d >= 5:
+    else:
         grid, vals = _cvm_kernel_table(d)
         out = np.interp(theta, grid, vals)
-    else:
-        raise InputError(f"dimension must be >= 2, got {d}")
     return out if out.ndim else float(out)
 
 
@@ -513,7 +513,8 @@ def evaluate_battery(x, betas, cover_points=None, rng_ca=None):
     """
     n, d = x.shape
     vals = {}
-    betas = sorted(set(betas))
+    for b in betas:
+        check_integer(b, 1, "power")
     cover_betas = [b for b in betas if b > 2]
     if 1 in betas:
         vals["T1"] = t1_closed(x)

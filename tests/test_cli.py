@@ -278,19 +278,40 @@ def test_bad_power_is_a_usage_error(beta):
     proc = run_module(["critvals", "--d", "3", "--beta", beta, "--reps", "10"])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert "powers must be integers >= 1" in proc.stderr
+    assert "power must be an integer >= 1" in proc.stderr
 
 
-@pytest.mark.parametrize("args, message", [
-    (["critvals", "--seed", "-1"], "seed must be >= 0"),
-    (["limit", "--seed", "-1"], "seed must be >= 0"),
-    (["critvals", "--n", "-5"], "sample sizes must be >= 1"),
-])
+#: a count below its minimum on each subcommand that registers the option
+COUNT_CASES = [
+    (["critvals", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["limit", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["critvals", "--n", "-5"], "sample size must be an integer >= 1, got -5"),
+] + [
+    ([name, flag, value], message)
+    for flag, value, message in [
+        ("--d", "1", "dimension must be an integer >= 2, got 1"),
+        ("--reps", "0", "null_replications must be an integer >= 1, got 0"),
+        ("--power-reps", "0", "power_replications must be an integer >= 1, got 0"),
+        ("--workers", "0", "workers must be an integer >= 1, got 0"),
+        ("--cover-m", "0", "cover_m must be an integer >= 1, got 0"),
+        ("--beta", "0", "power must be an integer >= 1, got 0"),
+    ]
+    for name, (_, flags) in SUBCOMMANDS.items() if flag in flags
+]
+
+
+@pytest.mark.parametrize("args, message", COUNT_CASES,
+                         ids=[" ".join(args) for args, _ in COUNT_CASES])
 def test_negative_seed_or_size_is_a_usage_error(args, message):
-    proc = run_module(args + ["--reps", "10"])
+    # test reads its data file only after the settings are checked
+    extra = ["--data", "absent.csv"] if args[0] == "test" else []
+    if "--reps" not in args:
+        extra += ["--reps", "10"]
+    proc = run_module(args + extra)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+    assert proc.stderr == f"maxproj: error: {message}\n"
 
 
 @pytest.mark.parametrize("spec", [

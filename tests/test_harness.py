@@ -56,9 +56,9 @@ def test_negative_seed_is_an_input_error():
 
 
 @pytest.mark.parametrize("bad, message", [
-    (dict(d=1), "dimension must be >= 2"),
-    (dict(d=-3), "dimension must be >= 2"),
-    (dict(cover_m=0), "cover_m must be >= 1"),
+    (dict(d=1), "dimension must be an integer >= 2"),
+    (dict(d=-3), "dimension must be an integer >= 2"),
+    (dict(cover_m=0), "cover_m must be an integer >= 1"),
     (dict(min_diameter=float("nan")), "min_diameter must be a number"),
 ])
 def test_dimension_and_cover_size_are_checked_up_front(bad, message):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from maxproj import InputError
-from maxproj.geometry import surface_area, uniform_points
+from maxproj.geometry import make_cover, surface_area, uniform_points
+from maxproj.harness import RunConfig
 from maxproj.kernels import ZonalKernel
 from maxproj.legendre import (
     harmonic_dim,
@@ -16,7 +17,8 @@ from maxproj.legendre import (
     psi_exact,
 )
 from maxproj.rng import stream
-from maxproj.samplers import MAX_PROFILE_ORDER
+from maxproj.samplers import MAX_PROFILE_ORDER, Uniform, sample
+from maxproj.statistics import cvm_kernel, projection_cdf
 from oracles import check_expansion_nonnegative, legendre_norm2, weighted_inner
 
 DIMS = (2, 3, 5, 10)
@@ -87,24 +89,33 @@ def test_harmonic_dim_special_cases():
     assert harmonic_dim(5, 2) == 14
 
 
-@pytest.mark.parametrize("call", [
-    lambda d: psi(d, 2),
-    lambda d: psi_exact(d, 2),
-    lambda d: monomial_coefficients(d, 2),
-    lambda d: legendre_eval(d, 2, 0.5),
-    lambda d: harmonic_dim(d, 2),
-    lambda d: power_expansion(d, 2),
-    lambda d: ZonalKernel(3, d),
+@pytest.mark.parametrize("call, minimum", [
+    (lambda d: psi(d, 2), 2),
+    (lambda d: psi_exact(d, 2), 2),
+    (lambda d: monomial_coefficients(d, 2), 2),
+    (lambda d: legendre_eval(d, 2, 0.5), 2),
+    (lambda d: harmonic_dim(d, 2), 2),
+    (lambda d: power_expansion(d, 2), 2),
+    (lambda d: ZonalKernel(3, d), 2),
+    (lambda d: uniform_points(d, 5, 0), 2),
+    (lambda d: make_cover(d, 10, 1), 2),
+    (surface_area, 1),  # S^0, two points, has area 2
+    (lambda d: projection_cdf(d, 0.3), 2),
+    (lambda d: cvm_kernel(d, 1.0), 2),
+    (lambda d: sample(Uniform(d), 5, 0), 2),
+    (lambda d: RunConfig(d=d), 2),
 ], ids=["psi", "psi_exact", "monomial_coefficients", "legendre_eval", "harmonic_dim",
-        "power_expansion", "ZonalKernel"])
-def test_dimension_must_be_an_integer_at_least_two(call):
-    for d in (-1, 0, 1, 2.5):
-        with pytest.raises(InputError, match="integer >= 2"):
+        "power_expansion", "ZonalKernel", "uniform_points", "make_cover", "surface_area",
+        "projection_cdf", "cvm_kernel", "sample", "RunConfig"])
+def test_dimension_must_be_an_integer_at_least_two(call, minimum):
+    message = f"dimension must be an integer >= {minimum}, got"
+    for d in (-1, 0, minimum - 1, 2.5):
+        with pytest.raises(InputError, match=message):
             call(d)
     # numpy integers are dimensions; a float is not, even once the integer is cached
     call(np.int64(3))
     call(3)
-    with pytest.raises(InputError, match="integer >= 2"):
+    with pytest.raises(InputError, match=message):
         call(3.0)
 
 

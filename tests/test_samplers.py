@@ -215,7 +215,9 @@ def test_mixture_presets_reject_a_weight_at_or_below_zero(text):
 
 def test_profile_order_is_capped():
     assert LegendreProfile(samplers.MAX_PROFILE_ORDER, E1_3, 1.0).m == 20
-    for m in (0, 21, 100):
+    with pytest.raises(InputError, match="profile order must be an integer >= 1, got 0"):
+        LegendreProfile(0, E1_3, 1.0)
+    for m in (21, 100):
         with pytest.raises(InputError, match=r"profile order must lie in 1\.\.20"):
             LegendreProfile(m, E1_3, 1.0)
 

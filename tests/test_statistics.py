@@ -112,11 +112,16 @@ def test_non_finite_or_empty_sample_rejected(n, moment_route):
     lambda x: ca_statistic(x, 25, stream(63)),
 ], ids=["t1_closed", "t2_closed", "circle_classical", "sphere_sobolev", "cvm_statistic",
         "ca_statistic"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "empty", "one column"])
 def test_non_finite_sample_rejected_by_every_statistic(statistic, bad):
     x = uniform_points(2, 30, stream(62))
-    x[4, 0] = bad
-    with pytest.raises(InputError, match="sample holds a non-finite"):
+    if bad == "empty":
+        x, message = x[:0], "sample holds no point"
+    elif bad == "one column":
+        x, message = x[:, :1], "dimension must be an integer >= 2, got 1"
+    else:
+        x[4, 0], message = bad, "sample holds a non-finite"
+    with pytest.raises(InputError, match=message):
         statistic(x)
 
 
