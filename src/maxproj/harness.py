@@ -170,6 +170,8 @@ class RunConfig:
         check_integer(self.seed, 0, "seed")
         if self.min_diameter is not None and math.isnan(self.min_diameter):
             raise InputError("min_diameter must be a number, got nan")
+        if not self.n:
+            raise InputError("no sample size given")
         for n in self.n:
             if isinstance(n, str):
                 if n not in LIMIT_TOKENS:

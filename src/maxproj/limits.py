@@ -30,8 +30,13 @@ from .rng import NS_LIMIT, stream
 
 MAX_HARMONIC_BETA = 6
 
-#: field draws per matrix product of the simulation routes
+#: field draws per coefficient draw of the simulation routes; the chunk
+#: width fixes the order of the stream, so it is part of the output bytes
 _DRAW_CHUNK = 4096
+
+#: field draws per matrix product: a slice narrower than this, or a column
+#: moved between slices, can change the last bits of the product
+_DRAW_SLICE = 256
 
 #: bootstrap resamples behind a quantile's standard error
 _BOOTSTRAP = 200
@@ -105,15 +110,25 @@ def _batched_max_square(transfer, replications, rng):
     """Max of squared field values for N(0, I) coefficient draws.
 
     ``transfer`` has shape (m, r): field values = transfer @ coefficients.
+    The coefficients are drawn ``_DRAW_CHUNK`` columns at a time; each chunk
+    is multiplied, squared and maximized in slices of ``_DRAW_SLICE`` columns
+    inside one m x (2 * _DRAW_SLICE - 1) buffer, the chunk's remainder riding
+    in its last slice.
     """
     m, r = transfer.shape
     out = np.empty(replications)
+    work = np.empty(m * min(2 * _DRAW_SLICE - 1, replications))
     done = 0
     while done < replications:
         take = min(_DRAW_CHUNK, replications - done)
         coeff = rng.standard_normal((r, take))
-        z = transfer @ coeff
-        out[done : done + take] = np.max(np.multiply(z, z, out=z), axis=0)
+        # slices start every S columns; the last one runs to the chunk's end,
+        # so only a chunk narrower than S gives a slice narrower than S
+        starts = range(0, max(take - _DRAW_SLICE, 0) + 1, _DRAW_SLICE)
+        for lo, hi in zip(starts, [*starts[1:], take]):
+            z = work[: m * (hi - lo)].reshape(m, hi - lo)
+            np.matmul(transfer, coeff[:, lo:hi], out=z)
+            np.max(np.multiply(z, z, out=z), axis=0, out=out[done + lo : done + hi])
         done += take
     return out
 

@@ -511,7 +511,8 @@ def evaluate_battery(x, betas, cover_points=None, rng_ca=None):
     The competitors run when ``rng_ca``, the stream of the random-projection
     directions, is given; without it only the powers ``betas`` are scored.
     """
-    n, d = x.shape
+    x = _points(x)
+    d = x.shape[1]
     vals = {}
     for b in betas:
         check_integer(b, 1, "power")

@@ -47,11 +47,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"{status} criterion {criterion}: {detail}")
 
 
-def run_python(*args):
-    """Run the interpreter with ``args`` on this source tree in a fresh process."""
+def run_python(*args, env=None):
+    """Run the interpreter with ``args`` on this source tree in a fresh process.
+
+    ``env`` adds variables to the child's environment.
+    """
     src = str(Path(maxproj.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=300)
 

@@ -6,7 +6,8 @@ the weighted Legendre inner product, the exact moment series of the
 projection integrals, the closed-form vMF mean resultant and Watson second
 moment, a Haar rotation for invariance checks, the plain
 Kolmogorov-Smirnov distance that ``ca_statistic`` vectorizes and the
-projected-CvM angle kernel by one adaptive quadrature per angle.  Tests import
+projected-CvM angle kernel by one adaptive quadrature per angle, and the
+limit-field maxima by one matrix product per draw chunk.  Tests import
 them as ``from oracles import ...``.
 """
 
@@ -252,3 +253,29 @@ def cvm_kernel_quad(d, theta):
     if err > 50 * _CVM_TOL:
         raise NumericalError(f"quadrature reached only {err:.2e} (target {_CVM_TOL:.2e})")
     return -4.0 * val - 0.75 + theta / (2.0 * math.pi) + 2.0 * projection_cdf(d, c) ** 2
+
+
+# ---------------------------------------------------------------------------
+# limit-field draws
+
+
+#: field draws per coefficient draw, as in ``limits._DRAW_CHUNK``
+_DRAW_CHUNK = 4096
+
+
+def batched_max_square_oneshot(transfer, replications, rng):
+    """Max of squared field values with one matrix product per coefficient chunk.
+
+    The same draws as ``limits._batched_max_square``, which multiplies each
+    chunk in slices: under single-threaded BLAS the two agree bit for bit.
+    """
+    r = transfer.shape[1]
+    out = np.empty(replications)
+    done = 0
+    while done < replications:
+        take = min(_DRAW_CHUNK, replications - done)
+        coeff = rng.standard_normal((r, take))
+        z = transfer @ coeff
+        out[done : done + take] = np.max(np.multiply(z, z, out=z), axis=0)
+        done += take
+    return out

@@ -66,6 +66,14 @@ def test_dimension_and_cover_size_are_checked_up_front(bad, message):
         small_config(**bad)
 
 
+@pytest.mark.parametrize("field, message", [("n", "no sample size given"),
+                                            ("betas", "no power given")])
+def test_empty_sample_sizes_or_powers_are_input_errors(field, message):
+    # an empty n would give cmd_critvals no row, and write_rows([]) an IndexError
+    with pytest.raises(InputError, match=message):
+        small_config(**{field: ()})
+
+
 @pytest.mark.parametrize("workers, replications, processes", [
     (16, 128, 2),  # two chunks of 64
     (2, 1000, 2),

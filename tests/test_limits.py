@@ -1,10 +1,14 @@
 import math
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from maxproj import InputError
+from conftest import run_python
+from maxproj import InputError, limits
 from maxproj.geometry import surface_area, uniform_points
 from maxproj.kernels import ZonalKernel
 from maxproj.legendre import harmonic_dim, legendre_eval
@@ -172,3 +176,54 @@ def test_both_routes_reject_a_cover_smaller_than_d(method):
         with pytest.raises(InputError, match=f"cover size {m} must be at least d = 3"):
             limit_quantile(3, 3, 0.95, method, m=m, replications=10)
     assert simulate(3, 3, m=3, replications=10, seed=1).shape == (10,)
+
+
+#: the thread counts of every BLAS and OpenMP runtime numpy may load
+SINGLE_THREAD = dict.fromkeys(
+    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"), "1")
+
+#: replication counts around the slice width 256 and the chunk width 4096
+DRAW_COUNTS = (1, 2, 3, 255, 256, 257, 511, 4095, 4096, 4097, 4096 + 257, 2 * 4096 + 1)
+
+
+def test_sliced_draws_equal_one_product_per_chunk_bit_for_bit():
+    # Under single-threaded BLAS each slice gives the bits of the chunk's one
+    # product; multithreaded OpenBLAS splits the two products differently.
+    # The transfers are those of the two routes, caught on their way in.
+    script = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from oracles import batched_max_square_oneshot
+        from maxproj import limits
+
+        transfers = []
+        draw = limits._batched_max_square
+        limits._batched_max_square = lambda t, r, rng: transfers.append(t) or draw(t, r, rng)
+        limits.simulate_kernel_max(6, 5, 1000, 1, seed=3)
+        limits.simulate_harmonic_max(6, 3, 500, 1, seed=3)
+        for transfer in transfers:
+            for count in {DRAW_COUNTS!r}:
+                sliced = draw(transfer, count, np.random.default_rng(count))
+                oneshot = batched_max_square_oneshot(transfer, count, np.random.default_rng(count))
+                assert np.array_equal(sliced, oneshot), (transfer.shape, count)
+        print([t.shape for t in transfers])
+    """)
+    proc = run_python("-c", script, env=SINGLE_THREAD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[(1000, 209), (500, 27)]"
+
+
+def test_draws_hold_one_coefficient_chunk_and_one_slice_buffer():
+    # two m x 4096 products alive at once would hold about 131 MB here
+    m, r, count = 2000, 209, 8192
+    transfer = np.random.default_rng(5).standard_normal((m, r))
+    tracemalloc.start()
+    try:
+        limits._batched_max_square(transfer, count, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = (2 * r * limits._DRAW_CHUNK + m * (2 * limits._DRAW_SLICE - 1) + count) * 8 + 2**20
+    assert peak <= bound

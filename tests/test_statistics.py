@@ -19,6 +19,7 @@ from maxproj.statistics import (
     circle_classical,
     cvm_kernel,
     cvm_statistic,
+    evaluate_battery,
     max_projection_values,
     projection_cdf,
     sphere_sobolev,
@@ -110,13 +111,16 @@ def test_non_finite_or_empty_sample_rejected(n, moment_route):
 @pytest.mark.parametrize("statistic", [
     t1_closed, t2_closed, circle_classical, sphere_sobolev, cvm_statistic,
     lambda x: ca_statistic(x, 25, stream(63)),
+    lambda x: evaluate_battery(x, [1]),
 ], ids=["t1_closed", "t2_closed", "circle_classical", "sphere_sobolev", "cvm_statistic",
-        "ca_statistic"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "empty", "one column"])
+        "ca_statistic", "evaluate_battery"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "empty", "one column", "one axis"])
 def test_non_finite_sample_rejected_by_every_statistic(statistic, bad):
     x = uniform_points(2, 30, stream(62))
     if bad == "empty":
         x, message = x[:0], "sample holds no point"
+    elif bad == "one axis":
+        x, message = x[:, 0], r"expected an \(n, d\) array of points, got shape \(30,\)"
     elif bad == "one column":
         x, message = x[:, :1], "dimension must be an integer >= 2, got 1"
     else:
