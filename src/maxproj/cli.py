@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``critvals``, ``power``, ``test``, ``limit``, ``bahadur``,
-``ingest-check``.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical error.
+``ingest-check``.  Exit codes: 0 success, 1 usage error or out of memory,
+2 data error, 3 numerical error.
 """
 
 import argparse
@@ -80,8 +80,8 @@ SUBCOMMANDS = {
     "critvals": ("simulate null critical values", _RUN),
     "power": ("empirical power table", (*_RUN, "--power-reps", "--alt")),
     "test": ("test an observed dataset",
-             ("--d", "--n", "--beta", "--cover-m", "--reps", "--seed", "--workers", "--out",
-              "--format", "--data", "--min-diameter")),
+             ("--d", "--beta", "--cover-m", "--reps", "--seed", "--workers", "--out", "--format",
+              "--data", "--min-diameter")),
     "limit": ("limit-distribution quantiles",
               ("--d", "--beta", "--alpha", "--cover-m", "--reps", "--seed", "--workers", "--out",
                "--format", "--method")),
@@ -91,7 +91,6 @@ SUBCOMMANDS = {
 #: each stays because existing scripts pass it
 NO_EFFECT = {
     ("test", "--d"): "no effect: the dimension is the data file's",
-    ("test", "--n"): "no effect: the sample size is the data file's row count",
     ("limit", "--workers"): "no effect: the limit field is simulated in one process",
 }
 
@@ -156,6 +155,9 @@ def main(argv=None):
         return 2
     except InputError as exc:
         print(f"maxproj: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"maxproj: error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"maxproj: numerical error: {exc}", file=sys.stderr)

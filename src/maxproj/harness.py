@@ -98,6 +98,7 @@ def run_jobs(jobs, workers=1):
     workers = min(workers, cpus or 1)
     chunks, owners = [], []
     for index, (task, replications) in enumerate(jobs):
+        check_integer(replications, 1, "replications")
         step = max(64, math.ceil(replications / max(1, 4 * workers)))
         for start in range(0, replications, step):
             chunks.append((task, start, min(start + step, replications)))
@@ -390,73 +391,73 @@ def ingest(path, min_diameter=None):
     repaired are skipped.
     """
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        cols = [c.strip().lower() for c in header]
-        report = IngestReport()
-        if "lat" in cols and "lon" in cols:
-            report.schema = "latlon"
-            idx = (cols.index("lat"), cols.index("lon"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    cols = [c.strip().lower() for c in header]
+    report = IngestReport()
+    if "lat" in cols and "lon" in cols:
+        report.schema = "latlon"
+        idx = (cols.index("lat"), cols.index("lon"))
+    else:
+        coord_idx = []
+        k = 1
+        while f"x{k}" in cols:
+            coord_idx.append(cols.index(f"x{k}"))
+            k += 1
+        if len(coord_idx) >= 2:
+            report.schema = f"x1..x{len(coord_idx)}"
+            idx = tuple(coord_idx)
         else:
-            coord_idx = []
-            k = 1
-            while f"x{k}" in cols:
-                coord_idx.append(cols.index(f"x{k}"))
-                k += 1
-            if len(coord_idx) >= 2:
-                report.schema = f"x1..x{len(coord_idx)}"
-                idx = tuple(coord_idx)
-            else:
-                raise DataError(
-                    f"{path}: unknown schema {header!r}; accepted: lat,lon or x1..xd"
-                )
-        diam_idx = None
-        if min_diameter is not None:
-            if "diameter_km" not in cols:
-                raise DataError(f"{path}: no diameter_km column for the diameter filter")
-            diam_idx = cols.index("diameter_km")
-        raw = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            report.rows_read += 1
+            raise DataError(f"{path}: unknown schema {header!r}; accepted: lat,lon or x1..xd")
+    diam_idx = None
+    if min_diameter is not None:
+        if "diameter_km" not in cols:
+            raise DataError(f"{path}: no diameter_km column for the diameter filter")
+        diam_idx = cols.index("diameter_km")
+    raw = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        report.rows_read += 1
+        try:
+            vals = [float(row[i]) for i in idx]
+            diam = float(row[diam_idx]) if diam_idx is not None else None
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}:{line_no}: cannot parse row: {exc}") from None
+        if min_diameter is not None and not diam >= min_diameter:  # NaN is filtered
+            report.rows_filtered += 1
+            continue
+        raw.append((line_no, vals))
+    if not raw:
+        raise DataError(f"{path}: no usable rows")
+    if report.schema == "latlon":
+        pts = []
+        for line_no, (lat, lon) in raw:
             try:
-                vals = [float(row[i]) for i in idx]
-                diam = float(row[diam_idx]) if diam_idx is not None else None
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{line_no}: cannot parse row: {exc}") from None
-            if min_diameter is not None and not diam >= min_diameter:  # NaN is filtered
-                report.rows_filtered += 1
-                continue
-            raw.append((line_no, vals))
-        if not raw:
-            raise DataError(f"{path}: no usable rows")
-        if report.schema == "latlon":
-            pts = []
-            for line_no, (lat, lon) in raw:
-                try:
-                    pts.append(latlon_to_unit(lat, lon))
-                except InputError as exc:
-                    raise DataError(f"{path}:{line_no}: {exc}") from None
-            arr = np.array(pts)
-            report.rows_kept = arr.shape[0]
-            return arr, report
-        arr = np.array([v for _, v in raw])
-        unit, repaired, bad = normalize_rows(arr)
-        report.rows_repaired = int(repaired.sum())
-        report.rows_skipped = int(bad.sum())
-        keep = ~bad
-        if not keep.any():
-            raise DataError(f"{path}: every row failed unit-norm repair")
-        report.rows_kept = int(keep.sum())
-        return unit[keep], report
+                pts.append(latlon_to_unit(lat, lon))
+            except InputError as exc:
+                raise DataError(f"{path}:{line_no}: {exc}") from None
+        arr = np.array(pts)
+        report.rows_kept = arr.shape[0]
+        return arr, report
+    arr = np.array([v for _, v in raw])
+    unit, repaired, bad = normalize_rows(arr)
+    report.rows_repaired = int(repaired.sum())
+    report.rows_skipped = int(bad.sum())
+    keep = ~bad
+    if not keep.any():
+        raise DataError(f"{path}: every row failed unit-norm repair")
+    report.rows_kept = int(keep.sum())
+    return unit[keep], report
 
 
 # ---------------------------------------------------------------------------

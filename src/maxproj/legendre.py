@@ -11,8 +11,8 @@ route is exact and cheap for the orders (<= 20) this package uses.
 
 Key objects
 -----------
-``monomial_coefficients(d, k)``  exact coefficients of P_k
-``power_expansion(d, m)``        exact coefficients of t^m = sum_j c_j P_j
+``monomial_coefficients(d, k)``  exact coefficients of P_k, by the three-term recurrence
+``power_expansion(d, m)``        exact c_j of t^m = sum_j c_j P_j, by orthogonality
 ``polynomial_eval(coeffs, t)``   Horner evaluation (``numpy`` ``polyval``) of float
                                  monomial coefficients on [-1, 1]
 ``psi(d, beta)``                 moment of a fixed projection of a uniform
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._errors import InputError, NumericalError, check_dimension, check_integer
+from ._errors import InputError, check_dimension, check_integer
 
 
 def harmonic_dim(d, k):
@@ -43,28 +43,19 @@ def harmonic_dim(d, k):
 def monomial_coefficients(d, k):
     """Exact monomial coefficients of P_k for S^{d-1}.
 
-    Returns a tuple ``a`` of k+1 Fractions with P_k(t) = sum_i a[i] t^i.
-    Coefficients with index of the wrong parity are zero.
+    Returns a tuple ``a`` of k+1 Fractions with P_k(t) = sum_i a[i] t^i, from P_0 = 1,
+    P_1 = t and (j+d-2) P_{j+1} = (2j+d-2) t P_j - j P_{j-1}.  Coefficients with
+    index of the wrong parity are zero.
     """
     check_dimension(d)
     check_integer(k, 0, "order")
-    if k == 0:
-        return (Fraction(1),)
-    coeffs = [Fraction(0)] * (k + 1)
-    denom = Fraction(1)
-    for i in range(k - 1):
-        denom *= d - 1 + i
-    for l in range(k // 2 + 1):
-        num = Fraction(1)
-        for i in range(k - l - 1):
-            num *= d + 2 * i
-        coeffs[k - 2 * l] = (
-            Fraction((-1) ** l, 2**l)
-            * Fraction(math.factorial(k), math.factorial(l) * math.factorial(k - 2 * l))
-            * num
-            / denom
-        )
-    return tuple(coeffs)
+    d = int(d)  # a numpy integer would overflow in the Fraction products
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for j in range(1, k):
+        up, down = Fraction(2 * j + d - 2, j + d - 2), Fraction(j, j + d - 2)
+        # t P_j shifts the coefficients one place up; P_{j-1} is two places shorter
+        prev, cur = cur, [up * a - down * b for a, b in zip([0, *cur], [*prev, 0, 0])]
+    return tuple(prev if k == 0 else cur)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -90,24 +81,17 @@ def legendre_eval(d, k, t):
 def power_expansion(d, m):
     """Exact coefficients c_j, j = 0..m, of t^m = sum_j c_j P_j(t), as a tuple of Fractions.
 
-    Found by an exact triangular solve.  The coefficients vanish whenever
-    j+m is odd, and c_0 equals psi_d(m).
+    By orthogonality under the projection law of a uniform direction,
+    c_j = nu_d(j) E[t^m P_j(t)] = nu_d(j) sum_i a_i psi_d(m+i), with a the coefficients
+    of P_j.  The coefficients vanish whenever j+m is odd, and c_0 equals psi_d(m).
     """
     check_dimension(d)
     check_integer(m, 0, "power")
-    residual = [Fraction(0)] * (m + 1)
-    residual[m] = Fraction(1)
-    c = [Fraction(0)] * (m + 1)
-    for j in range(m, -1, -1):
-        pj = monomial_coefficients(d, j)
-        cj = residual[j] / pj[j]
-        if cj:
-            for i, a in enumerate(pj):
-                residual[i] -= cj * a
-        c[j] = cj
-    if any(residual):
-        raise NumericalError("triangular solve left a nonzero residual")
-    return tuple(c)
+    moments = [psi_exact(d, m + i) for i in range(m + 1)]
+    return tuple(
+        harmonic_dim(d, j) * sum(a * moments[i] for i, a in enumerate(monomial_coefficients(d, j)))
+        for j in range(m + 1)
+    )
 
 
 def psi_exact(d, beta):
@@ -117,13 +101,8 @@ def psi_exact(d, beta):
     if beta % 2 == 1:
         return Fraction(0)
     s = beta // 2
-    num = 1
-    for i in range(1, 2 * s, 2):
-        num *= i
-    den = 1
-    for i in range(s):
-        den *= d + 2 * i
-    return Fraction(num, den)
+    # range yields Python ints, so a numpy integer d cannot overflow the product
+    return Fraction(math.prod(range(1, 2 * s, 2)), math.prod(range(d, d + 2 * s, 2)))
 
 
 def psi(d, beta):

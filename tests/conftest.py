@@ -47,16 +47,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"{status} criterion {criterion}: {detail}")
 
 
-def run_python(*args, env=None):
+#: the thread counts of every BLAS and OpenMP runtime numpy may load
+SINGLE_THREAD = dict.fromkeys(
+    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"), "1")
+
+
+def run_python(*args, env=None, preexec_fn=None):
     """Run the interpreter with ``args`` on this source tree in a fresh process.
 
-    ``env`` adds variables to the child's environment.
+    ``env`` adds variables to the child's environment, and ``preexec_fn`` runs
+    in the child before the interpreter starts.
     """
     src = str(Path(maxproj.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=300)
+                          timeout=300, preexec_fn=preexec_fn)
 
 
 def _null_config(d, n, reps=20_000):

@@ -359,11 +359,11 @@ def test_c12_byte_identical_output_across_workers(acceptance, tmp_path, capsys):
     rows = [f"{math.degrees(math.asin(u)):.6f},{lon:.6f}"
             for u, lon in zip(rng.uniform(-1.0, 1.0, 80), rng.uniform(-180.0, 180.0, 80))]
     catalogue.write_text("lat,lon\n" + "\n".join(rows) + "\n")
-    small = ["--n", "40", "--beta", "1", "3", "4", "--reps", "200", "--cover-m", "500",
-             "--seed", "12"]
+    small = ["--beta", "1", "3", "4", "--reps", "200", "--cover-m", "500", "--seed", "12"]
     for command in (
         ["test", "--d", "3", "--data", str(catalogue), *small],
-        ["power", "--d", "3", *small, "--power-reps", "130", "--alt", "vmf:kappa=1"],
+        ["power", "--d", "3", "--n", "40", *small, "--power-reps", "130",
+         "--alt", "vmf:kappa=1"],
     ):
         g1, g2 = tmp_path / f"{command[0]}_w1.csv", tmp_path / f"{command[0]}_w2.csv"
         assert main(command + ["--workers", "1", "--out", str(g1)]) == 0

@@ -1,13 +1,14 @@
 import contextlib
 import csv
 import io
+import resource
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import maxproj.limits as limits
-from conftest import run_python
+from conftest import SINGLE_THREAD, run_python
 from maxproj.cli import SUBCOMMANDS, main
 from maxproj.geometry import uniform_points
 from maxproj.harness import RunConfig, cmd_critvals, cmd_limit, write_rows
@@ -133,7 +134,7 @@ OTHER_ARGS = {"--d": ["4"], "--n": ["21"], "--beta": ["1", "4"], "--alpha": ["0.
 
 #: options a subcommand accepts that change no output byte
 NO_EFFECT = {"critvals": {"--workers"}, "power": {"--workers"},
-             "test": {"--workers", "--d", "--n"}, "limit": {"--workers"}}
+             "test": {"--workers", "--d"}, "limit": {"--workers"}}
 
 
 @pytest.mark.parametrize("command", sorted(BASE_ARGS))
@@ -163,7 +164,8 @@ def test_every_option_changes_the_output(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["limit", "--n", "5"],
-                                  ["test", "--data", "unused.csv", "--alpha", "0.1"]])
+                                  ["test", "--data", "unused.csv", "--alpha", "0.1"],
+                                  ["test", "--data", "unused.csv", "--n", "40"]])
 def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -335,6 +337,27 @@ def test_bad_alternative_spec_is_a_usage_error(spec):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("maxproj: error: preset")
+
+
+def _cap_address_space():
+    # runs in the child only: 3 GB of address space, so that an array of
+    # tens of GB fails at its allocation instead of being touched
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, hard))
+
+
+@pytest.mark.parametrize("args", [
+    ["limit", "--d", "3", "--beta", "1", "--cover-m", "200000", "--reps", "10"],  # the Gram
+    ["critvals", "--d", "3", "--n", "10", "--beta", "3", "--cover-m", "400000000",
+     "--reps", "2"],  # the cover
+], ids=["limit", "critvals"])
+def test_out_of_memory_is_an_error_line(args):
+    proc = run_python("-m", "maxproj.cli", *args, env=SINGLE_THREAD,
+                      preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("maxproj: error: out of memory: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from maxproj import InputError
 from maxproj.bahadur import local_are
 from maxproj.geometry import make_cover, surface_area, uniform_points
-from maxproj.harness import RunConfig, cmd_critvals, write_rows
+from maxproj.harness import RunConfig, cmd_critvals, run_replications, write_rows
 from maxproj.kernels import ZonalKernel
 from maxproj.legendre import harmonic_dim, monomial_coefficients, power_expansion, psi_exact
 from maxproj.limits import harmonic_basis, simulate_harmonic_max, simulate_kernel_max
@@ -26,6 +26,7 @@ from maxproj.statistics import cvm_kernel, evaluate_battery, max_projection_valu
 E1 = np.array([1.0, 0.0, 0.0])
 X = uniform_points(3, 20, stream(71))
 COVER = make_cover(3, 50, 72)
+TASK = {"d": 3, "n": 5, "betas": (1,), "m": 10, "seed": 1, "ns": (0, 5), "competitors": False}
 
 #: name -> (the smallest value the count takes, a call that passes the count)
 COUNTS = {
@@ -50,6 +51,7 @@ COUNTS = {
     "simulate_harmonic_max replications": (1, lambda v: simulate_harmonic_max(2, 3, 20, v)),
     "RunConfig null_replications": (1, lambda v: RunConfig(null_replications=v)),
     "RunConfig power_replications": (1, lambda v: RunConfig(power_replications=v)),
+    "run_replications replications": (1, lambda v: run_replications(TASK, v)),
     "RunConfig workers": (1, lambda v: RunConfig(workers=v)),
     "stream seed": (0, stream),
     "as_generator seed": (0, as_generator),

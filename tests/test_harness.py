@@ -227,6 +227,9 @@ def test_ingest_latlon(tmp_path):
     assert report.schema == "latlon"
     assert report.rows_read == 2 and report.rows_kept == 2
     np.testing.assert_allclose(x[0], [1, 0, 0], atol=1e-12)
+    # a UTF-8 byte-order mark is no part of the first column name
+    p.write_bytes(b"\xef\xbb\xbflat,lon\n0,0\n90,10\n")
+    assert np.array_equal(ingest(p)[0], x)
 
 
 def test_ingest_coordinates_with_repair(tmp_path):
@@ -275,6 +278,10 @@ def test_ingest_errors(tmp_path):
     missing = tmp_path / "nope.csv"
     with pytest.raises(DataError, match="cannot read"):
         ingest(missing)
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("lat,lon,name\n10,20,Volta\n-5,40,Crat\u00e9re\n".encode("latin-1"))
+    with pytest.raises(DataError, match="latin1.csv: not UTF-8 text"):
+        ingest(latin1)
     nofilter = tmp_path / "nofilter.csv"
     nofilter.write_text("lat,lon\n1,2\n")
     with pytest.raises(DataError, match="diameter"):

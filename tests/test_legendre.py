@@ -41,6 +41,19 @@ def _coeffs_by_recurrence(d, kmax):
     return polys
 
 
+def _coeffs_by_explicit_sum(d, k):
+    """Monomial coefficients of P_k by the explicit Gegenbauer sum of factorial products."""
+    coeffs = [Fraction(0)] * (k + 1)
+    for l in range(k // 2 + 1):
+        coeffs[k - 2 * l] = (
+            Fraction((-1) ** l * math.factorial(k),
+                     2**l * math.factorial(l) * math.factorial(k - 2 * l))
+            * math.prod(range(d, d + 2 * (k - l - 1), 2))
+            / math.prod(range(d - 1, d + k - 2))
+        )
+    return coeffs
+
+
 def _compositions(total):
     if total == 0:
         yield ()
@@ -169,6 +182,12 @@ def test_monomial_coefficients_match_recurrence_exactly():
             assert list(monomial_coefficients(d, k)) == oracle[k]
 
 
+def test_monomial_coefficients_match_the_explicit_sum_exactly():
+    for d in (*DIMS, 29):
+        for k in range(MAX_PROFILE_ORDER + 1):
+            assert list(monomial_coefficients(d, k)) == _coeffs_by_explicit_sum(d, k), (d, k)
+
+
 def test_domain_error_outside_interval():
     with pytest.raises(InputError):
         legendre_eval(3, 2, 1.001)
@@ -199,6 +218,14 @@ def test_power_expansion_parity_and_psi():
                     assert c == 0
 
 
+def test_a_numpy_integer_dimension_gives_the_exact_fractions():
+    # psi_exact(np.int64(29), 60) once overflowed its int64 denominator
+    for d in (3, 29):
+        assert psi_exact(np.int64(d), 60) == psi_exact(d, 60)
+        assert monomial_coefficients(np.int64(d), 20) == monomial_coefficients(d, 20)
+        assert power_expansion(np.int64(d), 20) == power_expansion(d, 20)
+
+
 def test_power_expansion_matches_nested_sums():
     for d in DIMS:
         for k in range(7):
@@ -219,8 +246,9 @@ def test_reconstruction_identity_on_grid():
 
 
 def test_reconstruction_identity_exact_at_rational_points():
-    for d in (2, 5):
-        for m in range(9):
+    # up to MAX_PROFILE_ORDER, the highest order the samplers use
+    for d in (2, 3, 4, 7, 12, 29):
+        for m in range(MAX_PROFILE_ORDER + 1):
             for t in (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(1)):
                 total = Fraction(0)
                 for j, c in enumerate(power_expansion(d, m)):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import run_python
+from conftest import SINGLE_THREAD, run_python
 from maxproj import InputError, limits
 from maxproj.geometry import surface_area, uniform_points
 from maxproj.kernels import ZonalKernel
@@ -177,11 +177,6 @@ def test_both_routes_reject_a_cover_smaller_than_d(method):
             limit_quantile(3, 3, 0.95, method, m=m, replications=10)
     assert simulate(3, 3, m=3, replications=10, seed=1).shape == (10,)
 
-
-#: the thread counts of every BLAS and OpenMP runtime numpy may load
-SINGLE_THREAD = dict.fromkeys(
-    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"), "1")
 
 #: replication counts around the slice width 256 and the chunk width 4096
 DRAW_COUNTS = (1, 2, 3, 255, 256, 257, 511, 4095, 4096, 4097, 4096 + 257, 2 * 4096 + 1)
