@@ -48,8 +48,12 @@ def normalize_rows(arr):
 
 
 def as_unit_vector(v):
-    """Validate/normalize a single direction vector."""
-    unit, _, bad = normalize_rows(np.atleast_2d(v))
+    """Validate/normalize a single direction vector of at least two coordinates."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise InputError(f"a direction must be a vector, got an array of shape {v.shape}")
+    check_dimension(v.shape[0])
+    unit, _, bad = normalize_rows(v[None, :])
     if bad.any():
         raise InputError("direction has (near-)zero or non-finite norm and cannot be normalized")
     return unit[0]

@@ -1,18 +1,20 @@
 """Random generation for the alternative distributions of the power study.
 
-All alternatives are specified by small frozen dataclasses; :func:`sample`
-draws exact iid variates from them.
+Each family is a frozen dataclass that checks its parameters and draws its
+own exact iid variates; :func:`sample` checks the sample size and the
+generator and hands both to the spec.
 
 The rotationally symmetric families (von Mises-Fisher, Watson, the
-Legendre-profile class) share one exact sampler: the cosine t = theta . X is
-drawn by rejection, proposing from the *uniform* projection law
-((t+1)/2 ~ Beta((d-1)/2, (d-1)/2)) and accepting with probability
-w(t)/max w, where w is the family's angular profile.  The proposal already
-carries the (1-t^2)^{(d-3)/2} geometry factor, so the envelope constant is
-simply max w: exp(kappa) for exp(kappa t) and exp(kappa t^2), and 1 + kappa
-for the profile 1 + kappa P_m.  Each profile is written pre-divided by that
-maximum, so it is the acceptance probability itself.  The remaining tangent
-direction is uniform on the equator subsphere.
+Legendre-profile class) share one exact sampler, in their base class: the
+cosine t = theta . X is drawn by rejection, proposing from the *uniform*
+projection law ((t+1)/2 ~ Beta((d-1)/2, (d-1)/2)) and accepting with
+probability w(t)/max w, where w is the family's angular profile.  The
+proposal already carries the (1-t^2)^{(d-3)/2} geometry factor, so the
+envelope constant is simply max w: exp(kappa) for exp(kappa t) and
+exp(kappa t^2), and 1 + kappa for the profile 1 + kappa P_m.  Each family
+gives only its profile pre-divided by that maximum, which is the acceptance
+probability itself.  The remaining tangent direction is uniform on the
+equator subsphere.
 
 The Bingham family (density proportional to exp(x' A x)) is not rotationally
 symmetric and uses rejection from an angular central Gaussian proposal with a
@@ -27,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._errors import InputError, NumericalError, check_integer
+from ._errors import InputError, NumericalError, check_dimension, check_integer
 from .geometry import as_unit_vector, uniform_points
 from .legendre import legendre_eval
 from .rng import as_generator
@@ -42,15 +44,8 @@ _ACCEPT_WINDOW = 200_000
 MAX_PROFILE_ORDER = 20
 
 
-@dataclass(frozen=True)
-class Uniform:
-    d: int
-
-
-@dataclass(frozen=True)
-class VonMisesFisher:
-    theta: np.ndarray
-    kappa: float
+class _Rotational:
+    """Axis and concentration; a subclass gives ``_ratio(t)``, its profile over its maximum."""
 
     def __post_init__(self):
         object.__setattr__(self, "theta", as_unit_vector(self.theta))
@@ -61,24 +56,48 @@ class VonMisesFisher:
     def d(self):
         return self.theta.shape[0]
 
+    def _draw(self, n, rng):
+        if self.kappa == 0.0:
+            return uniform_points(self.d, n, rng)
+        a = (self.d - 1) / 2.0
+
+        def propose(block):
+            t = 2.0 * rng.beta(a, a, size=block) - 1.0
+            return t, rng.random(block) <= self._ratio(t)
+
+        t = _rejection(np.empty(n), propose, "cosine")
+        xi = _equator_directions(self.theta, n, rng)
+        return t[:, None] * self.theta[None, :] + np.sqrt(1.0 - t * t)[:, None] * xi
+
 
 @dataclass(frozen=True)
-class Watson:
+class Uniform:
+    d: int
+
+    def _draw(self, n, rng):
+        return uniform_points(self.d, n, rng)
+
+
+@dataclass(frozen=True)
+class VonMisesFisher(_Rotational):
     theta: np.ndarray
     kappa: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", as_unit_vector(self.theta))
-        if not 0.0 <= self.kappa < math.inf:
-            raise InputError(f"Watson concentration must be finite and >= 0, got {self.kappa}")
-
-    @property
-    def d(self):
-        return self.theta.shape[0]
+    def _ratio(self, t):
+        return np.exp(self.kappa * (t - 1.0))
 
 
 @dataclass(frozen=True)
-class LegendreProfile:
+class Watson(_Rotational):
+    theta: np.ndarray
+    kappa: float
+
+    def _ratio(self, t):
+        return np.exp(self.kappa * (t * t - 1.0))
+
+
+@dataclass(frozen=True)
+class LegendreProfile(_Rotational):
     """Density (1 + kappa P_m(theta . x)) / |S^{d-1}|, kappa in [0, 1]."""
 
     m: int
@@ -86,16 +105,15 @@ class LegendreProfile:
     kappa: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", as_unit_vector(self.theta))
+        super().__post_init__()
         check_integer(self.m, 1, "profile order")
         if self.m > MAX_PROFILE_ORDER:
             raise InputError(f"profile order must lie in 1..{MAX_PROFILE_ORDER}, got {self.m}")
-        if not 0.0 <= self.kappa <= 1.0:
+        if self.kappa > 1.0:
             raise InputError("kappa must lie in [0, 1] for a non-negative density")
 
-    @property
-    def d(self):
-        return self.theta.shape[0]
+    def _ratio(self, t):
+        return (1.0 + self.kappa * legendre_eval(self.d, self.m, t)) / (1.0 + self.kappa)
 
 
 @dataclass(frozen=True)
@@ -108,6 +126,7 @@ class Bingham:
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError("A must be a square matrix")
+        check_dimension(A.shape[0])
         if not np.isfinite(A).all():
             raise InputError("A holds a non-finite entry")
         if np.max(np.abs(A - A.T)) > 1e-12:
@@ -117,6 +136,23 @@ class Bingham:
     @property
     def d(self):
         return self.A.shape[0]
+
+    def _draw(self, n, rng):
+        d = self.d
+        eigs, vecs = np.linalg.eigh(self.A)
+        a = eigs.max() - eigs  # >= 0, exp(x'Ax) ∝ exp(-x' diag(a) x) in eigencoords
+        b = _bingham_tuning(tuple(a.tolist()))
+        log_m = -(d - b) / 2.0 + (d / 2.0) * math.log(d / b)
+        prop_sd = np.sqrt(1.0 / (1.0 + 2.0 * a / b))
+
+        def propose(block):
+            y = rng.standard_normal((block, d)) * prop_sd
+            x = y / np.linalg.norm(y, axis=1)[:, None]
+            s = (x * x) @ a
+            log_ratio = -s + (d / 2.0) * np.log1p(2.0 * s / b) - log_m
+            return x, np.log(rng.random(block)) <= log_ratio
+
+        return _rejection(np.empty((n, d)), propose, "Bingham") @ vecs.T
 
 
 @dataclass(frozen=True)
@@ -141,23 +177,21 @@ class MixtureVMF:
     def d(self):
         return self.components[0].d
 
+    def _draw(self, n, rng):
+        u = rng.random(n)
+        edges = np.cumsum(self.weights)
+        labels = np.searchsorted(edges, u, side="right")
+        labels = np.minimum(labels, len(self.components) - 1)
+        out = np.empty((n, self.d))
+        for i, comp in enumerate(self.components):
+            idx = np.flatnonzero(labels == i)
+            if idx.size:
+                out[idx] = sample(comp, idx.size, rng)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def _cosine_profile(spec):
-    """The family's profile pre-divided by its maximum, w(t) / max w, vectorized."""
-    if isinstance(spec, VonMisesFisher):
-        k = spec.kappa
-        return lambda t: np.exp(k * (t - 1.0))
-    if isinstance(spec, Watson):
-        k = spec.kappa
-        return lambda t: np.exp(k * (t * t - 1.0))
-    if isinstance(spec, LegendreProfile):
-        k, m, d = spec.kappa, spec.m, spec.d
-        return lambda t: (1.0 + k * legendre_eval(d, m, t)) / (1.0 + k)
-    raise InputError(f"not a rotationally symmetric family: {spec}")
 
 
 def _rejection(out, propose, what):
@@ -187,17 +221,6 @@ def _rejection(out, propose, what):
     return out
 
 
-def _sample_cosines(spec, n, rng):
-    ratio = _cosine_profile(spec)
-    a = (spec.d - 1) / 2.0
-
-    def propose(block):
-        t = 2.0 * rng.beta(a, a, size=block) - 1.0
-        return t, rng.random(block) <= ratio(t)
-
-    return _rejection(np.empty(n), propose, "cosine")
-
-
 def _equator_directions(theta, n, rng):
     """Uniform directions on the subsphere orthogonal to theta."""
     d = theta.shape[0]
@@ -210,12 +233,6 @@ def _equator_directions(theta, n, rng):
         z[redo] = fresh
         norms = np.linalg.norm(z, axis=1)
     return z / norms[:, None]
-
-
-def _sample_symmetric(spec, n, rng):
-    t = _sample_cosines(spec, n, rng)
-    xi = _equator_directions(spec.theta, n, rng)
-    return t[:, None] * spec.theta[None, :] + np.sqrt(1.0 - t * t)[:, None] * xi
 
 
 @lru_cache(maxsize=64)
@@ -244,24 +261,6 @@ def _bingham_tuning(shifted_eigs):
     return lo if abs(f(lo)) <= abs(f(hi)) else hi
 
 
-def _sample_bingham(spec, n, rng):
-    d = spec.d
-    eigs, vecs = np.linalg.eigh(spec.A)
-    a = eigs.max() - eigs  # >= 0, exp(x'Ax) ∝ exp(-x' diag(a) x) in eigencoords
-    b = _bingham_tuning(tuple(a.tolist()))
-    log_m = -(d - b) / 2.0 + (d / 2.0) * math.log(d / b)
-    prop_sd = np.sqrt(1.0 / (1.0 + 2.0 * a / b))
-
-    def propose(block):
-        y = rng.standard_normal((block, d)) * prop_sd
-        x = y / np.linalg.norm(y, axis=1)[:, None]
-        s = (x * x) @ a
-        log_ratio = -s + (d / 2.0) * np.log1p(2.0 * s / b) - log_m
-        return x, np.log(rng.random(block)) <= log_ratio
-
-    return _rejection(np.empty((n, d)), propose, "Bingham") @ vecs.T
-
-
 def sample(spec, n, rng):
     """Draw ``n`` iid variates from ``spec``; deterministic given ``rng``.
 
@@ -269,26 +268,9 @@ def sample(spec, n, rng):
     """
     check_integer(n, 1, "sample size")
     rng = as_generator(rng)
-    if isinstance(spec, Uniform):
-        return uniform_points(spec.d, n, rng)
-    if isinstance(spec, (VonMisesFisher, Watson, LegendreProfile)):
-        if spec.kappa == 0.0:
-            return uniform_points(spec.d, n, rng)
-        return _sample_symmetric(spec, n, rng)
-    if isinstance(spec, Bingham):
-        return _sample_bingham(spec, n, rng)
-    if isinstance(spec, MixtureVMF):
-        u = rng.random(n)
-        edges = np.cumsum(spec.weights)
-        labels = np.searchsorted(edges, u, side="right")
-        labels = np.minimum(labels, len(spec.components) - 1)
-        out = np.empty((n, spec.d))
-        for i, comp in enumerate(spec.components):
-            idx = np.flatnonzero(labels == i)
-            if idx.size:
-                out[idx] = sample(comp, idx.size, rng)
-        return out
-    raise InputError(f"unknown alternative spec: {spec!r}")
+    if not isinstance(spec, (Uniform, _Rotational, Bingham, MixtureVMF)):
+        raise InputError(f"unknown alternative spec: {spec!r}")
+    return spec._draw(n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +386,12 @@ def parse_alternative(text, d):
         key, _, val = chunk.partition("=")
         if not val:
             raise InputError(f"malformed alternative parameter {chunk!r} in {text!r}")
+        key = key.strip()
+        if key in params:
+            raise InputError(f"preset {name!r}: {key} given twice in {text!r}")
         try:
-            params[key.strip()] = float(val)
+            params[key] = float(val)
         except ValueError:
-            raise InputError(f"preset {name!r}: {key.strip()}={val!r} is not a number") from None
+            raise InputError(f"preset {name!r}: {key}={val!r} is not a number") from None
     label = text if params else name
     return label, preset(name, d, **params)

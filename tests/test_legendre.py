@@ -27,20 +27,6 @@ DIMS = (2, 3, 5, 10)
 # --- independent oracles -----------------------------------------------------
 
 
-def _coeffs_by_recurrence(d, kmax):
-    """Monomial coefficients via (k+d-2) P_{k+1} = (2k+d-2) t P_k - k P_{k-1}."""
-    polys = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    for k in range(1, kmax):
-        prev, cur = polys[k - 1], polys[k]
-        nxt = [Fraction(0)] * (k + 2)
-        for i, a in enumerate(cur):
-            nxt[i + 1] += Fraction(2 * k + d - 2, k + d - 2) * a
-        for i, a in enumerate(prev):
-            nxt[i] -= Fraction(k, k + d - 2) * a
-        polys.append(nxt)
-    return polys
-
-
 def _coeffs_by_explicit_sum(d, k):
     """Monomial coefficients of P_k by the explicit Gegenbauer sum of factorial products."""
     coeffs = [Fraction(0)] * (k + 1)
@@ -173,13 +159,6 @@ def test_parity_exact_in_rationals():
             for i, a in enumerate(coeffs):
                 if (i + k) % 2 == 1:
                     assert a == 0
-
-
-def test_monomial_coefficients_match_recurrence_exactly():
-    for d in DIMS:
-        oracle = _coeffs_by_recurrence(d, 12)
-        for k in range(13):
-            assert list(monomial_coefficients(d, k)) == oracle[k]
 
 
 def test_monomial_coefficients_match_the_explicit_sum_exactly():

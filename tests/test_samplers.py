@@ -196,6 +196,8 @@ def test_parse_alternative_strings():
         parse_alternative("vmf:kappa", 3)
     with pytest.raises(InputError):
         parse_alternative("nosuch:a=1", 3)
+    with pytest.raises(InputError, match="kappa given twice"):
+        parse_alternative("vmf:kappa=1,kappa=5", 3)
 
 
 @pytest.mark.parametrize("weights", [(math.nan, math.nan), (0.5, math.nan),
@@ -243,3 +245,11 @@ def test_spec_validation():
         MixtureVMF((1.5, 1.0 - 1.5), (VonMisesFisher(E1_3, 1.0), VonMisesFisher(-E1_3, 1.0)))
     with pytest.raises(InputError):
         MixtureVMF((0.7, 0.7, 1.0 - 2.0 * 0.7), (VonMisesFisher(E1_3, 1.0),) * 3)
+    # an axis is a vector of at least two coordinates, and A is at least 2 x 2
+    with pytest.raises(InputError, match="must be a vector"):
+        VonMisesFisher(np.eye(2), 1.0)
+    for spec in (VonMisesFisher, Watson, lambda theta, kappa: LegendreProfile(2, theta, kappa)):
+        with pytest.raises(InputError, match="dimension must be an integer >= 2, got 1"):
+            spec(np.array([1.0]), 1.0)
+    with pytest.raises(InputError, match="dimension must be an integer >= 2, got 1"):
+        Bingham(np.array([[1.0]]))
