@@ -73,9 +73,15 @@ class ZonalKernel:
         return polynomial_eval(self._rho_monomial, t)
 
     def gram(self, points):
-        """Covariance matrix [rho(b_i . b_j)] for an (m, d) array of directions."""
-        pts = np.asarray(points, dtype=float)
-        t = np.clip(pts @ pts.T, -1.0, 1.0)
+        """Covariance matrix [rho(b_i . b_j)] for an (m, d) array of directions.
+
+        The matrix is exactly symmetric: numpy forms the product of a
+        contiguous array with its own transpose by ``syrk``, one triangle
+        mirrored onto the other, and every later step is elementwise.
+        """
+        pts = np.ascontiguousarray(points, dtype=float)
+        t = pts @ pts.T
+        np.clip(t, -1.0, 1.0, out=t)
         # Horner's rule in place: the (m, m) matrix is the largest array of the
         # kernel limit route, and polyval's temporaries would hold another one
         coeffs = self._rho_monomial

@@ -6,7 +6,12 @@ with the zonal covariance of :mod:`maxproj.kernels`.  Two simulation routes:
 * ``simulate_kernel_max`` draws the field restricted to a random direction
   cover as a multivariate normal with the (singular) cover covariance matrix,
   factorized once by symmetric eigendecomposition with negative eigenvalues
-  clipped at zero.  Works in any dimension.
+  clipped at zero.  Works in any dimension.  The factorization is LAPACK's
+  ``dsyevd`` through ``scipy.linalg.eigh``, run in place: the eigenvectors
+  overwrite the covariance, so it holds about 3 m^2 doubles (the matrix and
+  LAPACK's workspace), not the 5 m^2 of ``numpy.linalg.eigh``, which gives
+  the same bits from a copy into a separate output.  ``scipy.linalg`` is
+  imported inside the function, after the covariance is built.
 
 * ``simulate_harmonic_max`` uses the finite spherical-harmonics expansion of
   the field: independent standard normal coefficients weighted by the square
@@ -137,16 +142,22 @@ def simulate_kernel_max(beta, d, m, replications, seed=0):
     """Maxima of the squared field over a cover of ``m`` directions, via the covariance route."""
     check_integer(replications, 1, "replications")
     cover = make_cover(d, m, stream(seed, NS_LIMIT, 0))
-    kernel = ZonalKernel(beta, d)
-    sigma = kernel.gram(cover)
-    eigvals, eigvecs = np.linalg.eigh(sigma)
+    sigma = ZonalKernel(beta, d).gram(cover)
+    from scipy import linalg
+
+    # the Gram matrix is exactly symmetric, so its transpose is a Fortran
+    # view of the same values: dsyevd factors it as numpy's eigh would and
+    # writes the eigenvectors over it without a copy.  A non-finite entry
+    # makes LAPACK fail or return non-finite eigenvalues, caught below.
+    eigvals, eigvecs = linalg.eigh(sigma.T, overwrite_a=True, check_finite=False,
+                                   driver="evd")
     if not np.all(np.isfinite(eigvals)):
         raise NumericalError("eigendecomposition of the cover covariance failed")
     # the matrix is PSD up to rounding: clip, keep the numerically nonzero part
     clipped = np.clip(eigvals, 0.0, None)
     keep = clipped > clipped[-1] * 1e-12
     transfer = eigvecs[:, keep] * np.sqrt(clipped[keep])
-    del sigma, eigvecs  # the two m x m matrices are not needed by the draws
+    del sigma, eigvecs  # the m x m matrix is not needed by the draws
     rng = stream(seed, NS_LIMIT, 1)
     return _batched_max_square(transfer, replications, rng)
 

@@ -24,6 +24,7 @@ falls below ``_MIN_ACCEPT``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,8 +50,8 @@ class _Rotational:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", as_unit_vector(self.theta))
-        if not 0.0 <= self.kappa < math.inf:
-            raise InputError(f"concentration must be finite and >= 0, got {self.kappa}")
+        if not (isinstance(self.kappa, numbers.Real) and 0.0 <= self.kappa < math.inf):
+            raise InputError(f"concentration must be finite and >= 0, got {self.kappa!r}")
 
     @property
     def d(self):

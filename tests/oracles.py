@@ -7,8 +7,9 @@ projection integrals, the closed-form vMF mean resultant and Watson second
 moment, a Haar rotation for invariance checks, the plain
 Kolmogorov-Smirnov distance that ``ca_statistic`` vectorizes and the
 projected-CvM angle kernel by one adaptive quadrature per angle, and the
-limit-field maxima by one matrix product per draw chunk.  Tests import
-them as ``from oracles import ...``.
+limit-field maxima by one matrix product per draw chunk, and the kernel
+route with numpy's ``eigh`` and its own copy of the covariance.  Tests
+import them as ``from oracles import ...``.
 """
 
 import math
@@ -18,7 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from maxproj import InputError, NumericalError
-from maxproj.geometry import as_unit_vector, surface_area
+from maxproj.geometry import as_unit_vector, make_cover, surface_area
+from maxproj.kernels import ZonalKernel
 from maxproj.legendre import (
     harmonic_dim,
     legendre_eval,
@@ -26,7 +28,7 @@ from maxproj.legendre import (
     power_expansion,
     psi_exact,
 )
-from maxproj.rng import as_generator
+from maxproj.rng import NS_LIMIT, as_generator, stream
 from maxproj.statistics import _projection_pdf, projection_cdf
 
 # ---------------------------------------------------------------------------
@@ -279,3 +281,18 @@ def batched_max_square_oneshot(transfer, replications, rng):
         out[done : done + take] = np.max(np.multiply(z, z, out=z), axis=0)
         done += take
     return out
+
+
+def kernel_max_numpy_eigh(beta, d, m, replications, seed=0):
+    """Limit-field maxima by the kernel route with ``numpy.linalg.eigh``.
+
+    numpy factors a copy of the covariance into a separate matrix of
+    eigenvectors; ``limits.simulate_kernel_max`` runs the same LAPACK
+    ``dsyevd`` in place.  Under single-threaded BLAS the two agree bit for bit.
+    """
+    cover = make_cover(d, m, stream(seed, NS_LIMIT, 0))
+    eigvals, eigvecs = np.linalg.eigh(ZonalKernel(beta, d).gram(cover))
+    clipped = np.clip(eigvals, 0.0, None)
+    keep = clipped > clipped[-1] * 1e-12
+    transfer = eigvecs[:, keep] * np.sqrt(clipped[keep])
+    return batched_max_square_oneshot(transfer, replications, stream(seed, NS_LIMIT, 1))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import maxproj.limits as limits
 from conftest import SINGLE_THREAD, run_python
 from maxproj.cli import SUBCOMMANDS, main
 from maxproj.geometry import uniform_points
@@ -370,10 +369,10 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path):
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
 def test_linear_algebra_failure_is_a_numerical_error(monkeypatch, capsys, error):
-    def eigh(matrix):
+    def eigh(matrix, **options):
         raise error("did not converge")
 
-    monkeypatch.setattr(limits.np.linalg, "eigh", eigh)
+    monkeypatch.setattr("scipy.linalg.eigh", eigh)
     code, out, err = run_cli(["limit", "--d", "3", "--beta", "3", "--cover-m", "50",
                               "--reps", "10"], capsys)
     assert code == 3

@@ -1,14 +1,17 @@
 """What the package and its commands import, and when.
 
-``critvals``, ``test`` and the kernel ``limit`` route run on numpy alone, so
-they must start without scipy, and so must ``power`` at d <= 3: its samplers,
-its projection CDF (closed forms at d = 2 and 3) and its Kolmogorov tail
-(computed in ``math``) need no scipy.  From d = 4 on, ``power`` loads
-``scipy.special`` for ``betainc`` in the projection CDF, and at d >= 5 also
-for the CvM kernel table, one Gauss-Legendre pass over ``scipy.special``
-functions; it loads nothing else of scipy.  Commands that do call scipy load
-it in the parent process before a worker pool forks, and the forked workers
-import nothing at all: a module imported after the fork is imported once per
+``critvals`` without limit rows and ``test`` run on numpy alone, so they must
+start without scipy, and so must ``power`` at d <= 3: its samplers, its
+projection CDF (closed forms at d = 2 and 3) and its Kolmogorov tail
+(computed in ``math``) need no scipy.  The kernel limit route, behind
+``limit --method kernel`` and the ``inf`` rows of ``critvals``, factors its
+covariance in place with ``scipy.linalg.eigh`` and loads ``scipy.linalg``
+alone.  From d = 4 on, ``power`` loads ``scipy.special`` for ``betainc`` in
+the projection CDF, and at d >= 5 also for the CvM kernel table, one
+Gauss-Legendre pass over ``scipy.special`` functions; it loads nothing else
+of scipy.  Commands that do call scipy load it in the parent process, before
+a worker pool forks or after it closes, and the forked workers import
+nothing at all: a module imported after the fork is imported once per
 worker.
 Every command here runs at least 128 replications, two chunks of 64, so that
 ``--workers 2`` really forks.
@@ -28,6 +31,8 @@ POWER = ["power", "--d", "3", "--reps", "128", "--power-reps", "128",
          "--alt=vmf:kappa=1", "--alt=bing1:kappa=1", "--workers", "2"]
 POWER_D2 = ["power", "--d", "2", "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1",
             "--workers", "2"]
+CRITVALS_INF = ["critvals", "--d", "3", "--n", "30", "inf", "--beta", "3", "4",
+                "--cover-m", "200", "--reps", "128", "--workers", "2"]
 
 
 def python(*args):
@@ -41,6 +46,16 @@ def imported_modules(argv):
     proc = python("-X", "importtime", "-m", "maxproj.cli", *argv)
     return [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:") and "|" in line]
+
+
+def scipy_packages(modules):
+    """The scipy subpackages that ``modules`` reach into.
+
+    ``from scipy import linalg`` imports the subpackage through importlib,
+    which ``-X importtime`` does not report, so each subpackage is seen by
+    the modules inside it.
+    """
+    return {".".join(m.split(".")[:2]) for m in modules if m.split(".")[0] == "scipy"}
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +78,24 @@ def test_importing_the_package_loads_no_scipy():
 @pytest.mark.parametrize("argv", [
     ["critvals", "--d", "3", "--reps", "128", "--workers", "2"],
     ["test", "--data", "{catalogue}", "--reps", "128", "--cover-m", "500", "--workers", "2"],
-    ["limit", "--d", "3", "--beta", "3", "4", "--method", "kernel", "--cover-m", "200",
-     "--reps", "500"],
     POWER,
     POWER_D2,
-], ids=["critvals", "test", "limit-kernel", "power", "power-d2"])
+], ids=["critvals", "test", "power", "power-d2"])
 def test_numpy_only_commands_import_no_scipy(argv, catalogue):
     argv = [a.format(catalogue=catalogue) for a in argv]
     scipy = [m for m in imported_modules(argv) if m.split(".")[0] == "scipy"]
     assert scipy == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--d", "3", "--beta", "3", "4", "--method", "kernel", "--cover-m", "200",
+     "--reps", "500"],
+    CRITVALS_INF,
+], ids=["limit-kernel", "critvals-inf"])
+def test_kernel_limit_route_loads_only_scipy_linalg(argv):
+    packages = scipy_packages(imported_modules(argv))
+    assert "scipy.linalg" in packages
+    assert packages & {"scipy.special", "scipy.integrate", "scipy.optimize"} == set()
 
 
 def test_power_loads_scipy_once_before_workers_fork():
@@ -80,8 +104,7 @@ def test_power_loads_scipy_once_before_workers_fork():
                 "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1", "--workers", "2"]
     modules = imported_modules(power_d5)
     assert modules.count("scipy.special") == 1
-    assert [m for m in modules
-            if m in ("scipy.optimize", "scipy.integrate", "scipy.linalg")] == []
+    assert scipy_packages(modules) & {"scipy.optimize", "scipy.integrate", "scipy.linalg"} == set()
 
 
 _FORK_PROBE = textwrap.dedent("""
@@ -107,6 +130,8 @@ _FORK_PROBE = textwrap.dedent("""
 
 @pytest.mark.parametrize("argv", [
     ["critvals", "--d", "3", "--reps", "128", "--workers", "2"],
+    # the inf rows load scipy.linalg in the parent, after the pool closes
+    CRITVALS_INF,
     POWER,
     POWER_D2,
     # the projection CDF at d >= 4 is scipy.special.betainc
@@ -115,7 +140,7 @@ _FORK_PROBE = textwrap.dedent("""
     # the CvM kernel at d >= 5 is a table that each worker builds for itself
     ["power", "--d", "10", "--n", "12", "--beta", "1", "2", "3", "--cover-m", "50",
      "--reps", "128", "--power-reps", "64", "--alt=vmf:kappa=1", "--workers", "2"],
-], ids=["critvals", "power", "power-d2", "power-d4", "power-d10"])
+], ids=["critvals", "critvals-inf", "power", "power-d2", "power-d4", "power-d10"])
 def test_forked_workers_import_nothing(argv):
     python("-c", _FORK_PROBE, *argv)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from scipy import stats
 
 from conftest import SINGLE_THREAD, run_python
-from maxproj import InputError, limits
+from maxproj import InputError, NumericalError, limits
+from maxproj.cli import main
 from maxproj.geometry import surface_area, uniform_points
 from maxproj.kernels import ZonalKernel
 from maxproj.legendre import harmonic_dim, legendre_eval
@@ -28,6 +30,20 @@ def test_cover_covariance_diagonal_is_total_variance():
     pts = uniform_points(3, 50, stream(61))
     sigma = kern.gram(pts)
     np.testing.assert_allclose(np.diag(sigma), float(kern.total_variance), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 10))
+def test_gram_is_exactly_symmetric_in_any_layout(d):
+    # the kernel route hands the Gram's transpose to LAPACK as the same matrix
+    pts = uniform_points(d, 300, stream(60, d))
+    layouts = (np.asfortranarray(pts), np.repeat(pts, 2, axis=1)[:, ::2],
+               np.repeat(pts, 2, axis=0)[::2], pts.tolist())
+    for beta in range(1, 7):
+        kern = ZonalKernel(beta, d)
+        g = kern.gram(pts)
+        assert np.array_equal(g, g.T)
+        for points in layouts:
+            assert np.array_equal(kern.gram(points), g)
 
 
 def test_eigen_clipping_perturbation_is_rounding_noise():
@@ -222,3 +238,73 @@ def test_draws_hold_one_coefficient_chunk_and_one_slice_buffer():
         tracemalloc.stop()
     bound = (2 * r * limits._DRAW_CHUNK + m * (2 * limits._DRAW_SLICE - 1) + count) * 8 + 2**20
     assert peak <= bound
+
+
+def test_kernel_route_equals_numpy_eigh_bit_for_bit():
+    # numpy and scipy bundle their own OpenBLAS builds; under single-threaded
+    # BLAS both run the same dsyevd on the same values
+    script = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from oracles import kernel_max_numpy_eigh
+        from maxproj.limits import simulate_kernel_max
+
+        for d in (2, 3, 5, 10):
+            for beta in range(1, 7):
+                for seed in (0, 9):
+                    args = (beta, d, 120, 300)
+                    new = simulate_kernel_max(*args, seed=seed)
+                    old = kernel_max_numpy_eigh(*args, seed=seed)
+                    assert np.array_equal(new, old), (d, beta, seed)
+    """)
+    proc = run_python("-c", script, env=SINGLE_THREAD)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux gives it")
+def test_kernel_route_factors_the_covariance_in_place():
+    # the covariance and LAPACK's 2 m^2 workspace; numpy's eigh, with its copy
+    # of the input and a separate output, held about 5 m^2 doubles
+    m = 1500
+    script = textwrap.dedent(f"""
+        import resource
+        import scipy.linalg
+        from maxproj.limits import simulate_kernel_max
+
+        simulate_kernel_max(6, 5, 20, 1, seed=3)
+        base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        simulate_kernel_max(6, 5, {m}, 1, seed=3)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+    """)
+    # Linux keeps a process's peak RSS across fork and exec, so a script started
+    # from pytest would count pytest's peak as its baseline: a small launcher
+    # starts it instead
+    launch = "import subprocess, sys; raise SystemExit(subprocess.call(sys.argv[1:]))"
+    proc = run_python("-c", launch, sys.executable, "-c", script, env=SINGLE_THREAD)
+    assert proc.returncode == 0, proc.stderr
+    grown = int(proc.stdout) * 1024  # ru_maxrss is in KiB on Linux
+    assert grown <= 3.5 * m * m * 8
+
+
+@pytest.mark.parametrize("m", (5, 50))
+@pytest.mark.parametrize("entry", ("diagonal", "off-diagonal", "infinite"))
+def test_a_non_finite_covariance_never_gives_a_quantile(monkeypatch, capsys, m, entry):
+    # the factorization skips scipy's finiteness scan: LAPACK either fails or
+    # returns non-finite eigenvalues, and both end in exit code 3
+    gram = ZonalKernel.gram
+
+    def broken(kernel, points):
+        g = gram(kernel, points)
+        i, j, bad = {"diagonal": (1, 1, math.nan), "off-diagonal": (3, 1, math.nan),
+                     "infinite": (2, 0, math.inf)}[entry]
+        g[i, j] = g[j, i] = bad
+        return g
+
+    monkeypatch.setattr(ZonalKernel, "gram", broken)
+    with pytest.raises((NumericalError, np.linalg.LinAlgError)):
+        simulate_kernel_max(3, 3, m=m, replications=10, seed=1)
+    assert main(["limit", "--d", "3", "--beta", "3", "--cover-m", str(m), "--reps", "10"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("maxproj: numerical error: ")

@@ -253,3 +253,11 @@ def test_spec_validation():
             spec(np.array([1.0]), 1.0)
     with pytest.raises(InputError, match="dimension must be an integer >= 2, got 1"):
         Bingham(np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("kappa", ["1", None, 1j, np.array([0.5, 1.0])],
+                         ids=["str", "None", "complex", "array"])
+def test_a_concentration_that_is_not_a_real_number_is_an_input_error(kappa):
+    for spec in (VonMisesFisher, Watson, lambda theta, kappa: LegendreProfile(2, theta, kappa)):
+        with pytest.raises(InputError, match="concentration must be finite and >= 0"):
+            spec(E1_3, kappa)
