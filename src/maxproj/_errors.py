@@ -3,10 +3,12 @@
 The CLI maps these onto exit codes: usage errors (bad options, InputError)
 exit 1, DataError exits 2, NumericalError exits 3.  Every count (dimension,
 power, order, sample, cover or replication size, worker count, seed) is
-checked by :func:`check_integer`, with one message format.
+checked by :func:`check_integer`, with one message format, and every worker
+count is capped by :func:`usable_workers`.
 """
 
 import numbers
+import os
 
 
 class InputError(ValueError):
@@ -32,3 +34,10 @@ def check_integer(value, minimum, name):
 def check_dimension(d):
     """Raise :class:`InputError` unless the sphere dimension d is an integer >= 2."""
     check_integer(d, 2, "dimension")
+
+
+def usable_workers(workers):
+    """``workers``, checked as a count >= 1, capped at the CPUs this process may run on."""
+    check_integer(workers, 1, "workers")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, cpus or 1)

@@ -59,7 +59,9 @@ OPTIONS = {
                    help="null replications; for limit and the inf/inf* rows, the "
                         "limit-field replications"),
     "--seed": dict(dest="seed", type=int),
-    "--workers": dict(dest="workers", type=int, help="worker processes"),
+    "--workers": dict(dest="workers", type=int,
+                      help="worker processes; for limit and the inf/inf* rows, field-draw "
+                           "threads"),
     "--out": dict(default=None, help="output path (default: stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--power-reps": dict(dest="power_replications", type=int,
@@ -91,7 +93,6 @@ SUBCOMMANDS = {
 #: each stays because existing scripts pass it
 NO_EFFECT = {
     ("test", "--d"): "no effect: the dimension is the data file's",
-    ("limit", "--workers"): "no effect: the limit field is simulated in one process",
 }
 
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}

@@ -25,14 +25,13 @@ import io
 import json
 import math
 import operator
-import os
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 import numpy as np
 
 from . import __version__
-from ._errors import DataError, InputError, check_dimension, check_integer
+from ._errors import DataError, InputError, check_dimension, check_integer, usable_workers
 from .bahadur import STUDY_DIMS, are_table
 from .geometry import latlon_to_unit, make_cover, normalize_rows, uniform_points
 from .limits import limit_quantile, quantile_stderr
@@ -94,8 +93,7 @@ def run_jobs(jobs, workers=1):
     the workers share that one import.  The values do not depend on the
     number of workers.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, cpus or 1)
+    workers = usable_workers(workers)
     chunks, owners = [], []
     for index, (task, replications) in enumerate(jobs):
         check_integer(replications, 1, "replications")
@@ -138,6 +136,9 @@ class RunConfig:
     the value written here.  ``cover_m`` and ``null_replications`` also size
     the limit-field simulation of :func:`cmd_limit` and of the ``inf``/``inf*``
     rows, where ``cover_m=None`` stands for :func:`default_limit_cover_m`.
+    ``workers`` bounds the worker processes of the replication loops and the
+    threads of that limit-field simulation, each capped at the usable CPUs;
+    no output depends on it.
     Repeated sample sizes and powers are dropped, keeping the first of each
     in order, so that no row or simulation is repeated.  Every count must be
     an integer (numpy's too) at or above its minimum, checked by
@@ -342,7 +343,8 @@ def _limit_cells(config, method):
     cells = []
     for beta in config.betas:
         value, stderr, _ = limit_quantile(beta, config.d, 1.0 - config.alpha, method, m,
-                                          config.null_replications, seed=config.seed)
+                                          config.null_replications, seed=config.seed,
+                                          workers=config.workers)
         cells.append((f"T{beta}", value, stderr, config.null_replications, m))
     return cells
 

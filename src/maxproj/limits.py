@@ -11,7 +11,8 @@ with the zonal covariance of :mod:`maxproj.kernels`.  Two simulation routes:
   overwrite the covariance, so it holds about 3 m^2 doubles (the matrix and
   LAPACK's workspace), not the 5 m^2 of ``numpy.linalg.eigh``, which gives
   the same bits from a copy into a separate output.  ``scipy.linalg`` is
-  imported inside the function, after the covariance is built.
+  imported inside the function: with more than one worker on a second
+  thread while the covariance is built, else after it.
 
 * ``simulate_harmonic_max`` uses the finite spherical-harmonics expansion of
   the field: independent standard normal coefficients weighted by the square
@@ -21,13 +22,22 @@ with the zonal covariance of :mod:`maxproj.kernels`.  Two simulation routes:
 
 Both routes share a single cover per batch: the factorization/basis matrix is
 built once and reused across replications, whose maxima are then iid.
+
+``workers`` bounds the threads of the field draws and of the bootstrap, capped
+at the CPUs the process may run on; one worker starts no thread.  The calling
+thread draws every random number, in the same order for any ``workers``, and
+the threads compute the same products and quantiles on the same operands, so
+the output bits do not depend on the thread count.  The draws hold two
+coefficient chunks and one m x (2 * _DRAW_SLICE - 1) slice buffer per thread.
 """
 
+import importlib
 import math
+from collections import deque
 
 import numpy as np
 
-from ._errors import InputError, NumericalError, check_integer
+from ._errors import InputError, NumericalError, check_integer, usable_workers
 from .geometry import make_cover, surface_area
 from .kernels import ZonalKernel
 from .legendre import harmonic_dim
@@ -111,39 +121,102 @@ def _real_sph_harm_block(l, pts):
 # simulation routes
 
 
-def _batched_max_square(transfer, replications, rng):
+def _thread_map(fn, items, workers):
+    """``[fn(item) for item in items]`` with up to ``workers`` calls at once on threads.
+
+    The calling thread takes the items in order, so a generator that draws
+    them from a stream draws the same values for any ``workers``; it takes
+    the next item while the calls before it run.  Call i waits to start until
+    call i - ``workers`` has returned.  With one worker no thread starts.
+    """
+    if workers == 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    results, pending = [], deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for item in items:
+            if len(pending) == workers:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(fn, item))
+        results += [future.result() for future in pending]
+    return results
+
+
+def _slices(take):
+    """``(lo, hi)`` column ranges of a chunk of ``take`` draws, one per matrix product."""
+    # slices start every S columns; the last one runs to the chunk's end,
+    # so only a chunk narrower than S gives a slice narrower than S
+    starts = range(0, max(take - _DRAW_SLICE, 0) + 1, _DRAW_SLICE)
+    return list(zip(starts, [*starts[1:], take]))
+
+
+def _max_square(transfer, coeff, slices, work, out):
+    """Column maxima of the squared ``transfer @ coeff[:, lo:hi]`` into ``out[lo:hi]``, per slice."""
+    m = transfer.shape[0]
+    for lo, hi in slices:
+        z = work[: m * (hi - lo)].reshape(m, hi - lo)
+        np.matmul(transfer, coeff[:, lo:hi], out=z)
+        np.max(np.multiply(z, z, out=z), axis=0, out=out[lo:hi])
+
+
+def _batched_max_square(transfer, replications, rng, workers=1):
     """Max of squared field values for N(0, I) coefficient draws.
 
     ``transfer`` has shape (m, r): field values = transfer @ coefficients.
     The coefficients are drawn ``_DRAW_CHUNK`` columns at a time; each chunk
     is multiplied, squared and maximized in slices of ``_DRAW_SLICE`` columns
-    inside one m x (2 * _DRAW_SLICE - 1) buffer, the chunk's remainder riding
-    in its last slice.
+    inside an m x (2 * _DRAW_SLICE - 1) buffer, the chunk's remainder riding
+    in its last slice.  With ``workers`` > 1 the slices of each chunk are
+    dealt to up to that many threads, one buffer each, while the calling
+    thread draws the next chunk; every slice is the same product on the same
+    operands, so the maxima do not depend on ``workers``.
     """
     m, r = transfer.shape
     out = np.empty(replications)
-    work = np.empty(m * min(2 * _DRAW_SLICE - 1, replications))
-    done = 0
-    while done < replications:
-        take = min(_DRAW_CHUNK, replications - done)
-        coeff = rng.standard_normal((r, take))
-        # slices start every S columns; the last one runs to the chunk's end,
-        # so only a chunk narrower than S gives a slice narrower than S
-        starts = range(0, max(take - _DRAW_SLICE, 0) + 1, _DRAW_SLICE)
-        for lo, hi in zip(starts, [*starts[1:], take]):
-            z = work[: m * (hi - lo)].reshape(m, hi - lo)
-            np.matmul(transfer, coeff[:, lo:hi], out=z)
-            np.max(np.multiply(z, z, out=z), axis=0, out=out[done + lo : done + hi])
-        done += take
+    # the first chunk has the most slices; every chunk but the last has
+    # exactly ``threads`` tasks, so no more than two chunks are alive at once
+    threads = min(workers, len(_slices(min(_DRAW_CHUNK, replications))))
+    works = [np.empty(m * min(2 * _DRAW_SLICE - 1, replications)) for _ in range(threads)]
+
+    def tasks():
+        for done in range(0, replications, _DRAW_CHUNK):
+            take = min(_DRAW_CHUNK, replications - done)
+            coeff = rng.standard_normal((r, take))
+            slices = _slices(take)
+            # task i writes into works[i % threads], which task i - threads
+            # has released before _thread_map starts task i
+            for k, work in enumerate(works[: len(slices)]):
+                yield coeff, slices[k::threads], work, out[done : done + take]
+
+    _thread_map(lambda task: _max_square(transfer, *task), tasks(), threads)
     return out
 
 
-def simulate_kernel_max(beta, d, m, replications, seed=0):
-    """Maxima of the squared field over a cover of ``m`` directions, via the covariance route."""
+def simulate_kernel_max(beta, d, m, replications, seed=0, workers=1):
+    """Maxima of the squared field over a cover of ``m`` directions, via the covariance route.
+
+    With ``workers`` > 1, a second thread imports ``scipy.linalg`` while the
+    covariance is built, and the field draws run on up to ``workers``
+    threads; the maxima do not depend on ``workers``.
+    """
     check_integer(replications, 1, "replications")
-    cover = make_cover(d, m, stream(seed, NS_LIMIT, 0))
-    sigma = ZonalKernel(beta, d).gram(cover)
-    from scipy import linalg
+    workers = usable_workers(workers)
+    importer = loaded = None
+    if workers > 1:
+        # the import takes about 0.2 s; the cover and the Gram matrix are
+        # built meanwhile, on this thread, where a tracer can see them
+        from concurrent.futures import ThreadPoolExecutor
+
+        importer = ThreadPoolExecutor(1)
+        loaded = importer.submit(importlib.import_module, "scipy.linalg")
+    try:
+        cover = make_cover(d, m, stream(seed, NS_LIMIT, 0))
+        sigma = ZonalKernel(beta, d).gram(cover)
+    finally:
+        if importer is not None:
+            importer.shutdown()
+    linalg = loaded.result() if loaded else importlib.import_module("scipy.linalg")
 
     # the Gram matrix is exactly symmetric, so its transpose is a Fortran
     # view of the same values: dsyevd factors it as numpy's eigh would and
@@ -159,16 +232,19 @@ def simulate_kernel_max(beta, d, m, replications, seed=0):
     transfer = eigvecs[:, keep] * np.sqrt(clipped[keep])
     del sigma, eigvecs  # the m x m matrix is not needed by the draws
     rng = stream(seed, NS_LIMIT, 1)
-    return _batched_max_square(transfer, replications, rng)
+    return _batched_max_square(transfer, replications, rng, workers)
 
 
-def simulate_harmonic_max(beta, d, m, replications, seed=0):
+def simulate_harmonic_max(beta, d, m, replications, seed=0, workers=1):
     """Maxima of the squared field over a cover of ``m`` directions, via its harmonics expansion.
 
     The field is sum_k sqrt(|S^{d-1}| lambda_k) sum_j xi_kj phi_kj over the
     orders k with a nonzero eigenvalue lambda_k, with iid standard normal xi.
+    The field draws run on up to ``workers`` threads; the maxima do not
+    depend on ``workers``.
     """
     check_integer(replications, 1, "replications")
+    workers = usable_workers(workers)
     if d not in (2, 3):
         raise InputError("harmonic route implemented for d in {2, 3}; use the kernel route")
     if beta > MAX_HARMONIC_BETA:
@@ -181,42 +257,48 @@ def simulate_harmonic_max(beta, d, m, replications, seed=0):
                       for k in orders for _ in range(harmonic_dim(d, k))])
     transfer = phi * scale[None, :]
     rng = stream(seed, NS_LIMIT, 1)
-    return _batched_max_square(transfer, replications, rng)
+    return _batched_max_square(transfer, replications, rng, workers)
 
 
 # ---------------------------------------------------------------------------
 # quantiles
 
 
-def quantile_stderr(values, alpha, seed=0):
-    """Bootstrap standard error of an empirical quantile."""
+def quantile_stderr(values, alpha, seed=0, workers=1):
+    """Bootstrap standard error of an empirical quantile.
+
+    The resample indices are drawn in the calling thread, in the same order
+    for any ``workers``; the quantiles of up to ``workers`` blocks of
+    resamples are taken at once on threads.
+    """
+    workers = usable_workers(workers)
     values = np.asarray(values)
     rng = stream(seed, NS_LIMIT, 2)
     n = values.shape[0]
-    reps = np.empty(_BOOTSTRAP)
-    for start in range(0, _BOOTSTRAP, _BOOTSTRAP_BLOCK):
-        stop = min(start + _BOOTSTRAP_BLOCK, _BOOTSTRAP)
-        # the same indices, in the same order, as stop - start draws of size n
-        idx = rng.integers(0, n, size=(stop - start, n))
-        reps[start:stop] = np.quantile(values[idx], alpha, axis=1)
-    return float(reps.std(ddof=1))
+    # the same indices, in the same order, as _BOOTSTRAP draws of size n
+    blocks = (rng.integers(0, n, size=(min(_BOOTSTRAP_BLOCK, _BOOTSTRAP - start), n))
+              for start in range(0, _BOOTSTRAP, _BOOTSTRAP_BLOCK))
+    reps = _thread_map(lambda idx: np.quantile(values[idx], alpha, axis=1), blocks, workers)
+    return float(np.concatenate(reps).std(ddof=1))
 
 
-def limit_quantile(beta, d, alpha, method, m, replications, seed=0):
+def limit_quantile(beta, d, alpha, method, m, replications, seed=0, workers=1):
     """Empirical alpha-quantile of ``replications`` simulated limit maxima on an ``m``-cover.
 
     Returns ``(value, mc_stderr, maxima)``: the quantile, its bootstrap
     standard error and the simulated maxima.  ``alpha`` is the quantile
     level, 0 and 1 included: a test at a level below about 1.1e-16 asks for
-    the level 1.0, because 1.0 - level rounds to 1.0.
+    the level 1.0, because 1.0 - level rounds to 1.0.  ``workers`` bounds
+    the threads of the simulation and of the bootstrap; the result does not
+    depend on it.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"quantile level must lie in [0, 1], got {alpha}")
     if method == "kernel":
-        maxima = simulate_kernel_max(beta, d, m, replications, seed=seed)
+        maxima = simulate_kernel_max(beta, d, m, replications, seed=seed, workers=workers)
     elif method == "harmonic":
-        maxima = simulate_harmonic_max(beta, d, m, replications, seed=seed)
+        maxima = simulate_harmonic_max(beta, d, m, replications, seed=seed, workers=workers)
     else:
         raise InputError(f"unknown method {method!r}; expected 'kernel' or 'harmonic'")
     value = float(np.quantile(maxima, alpha))
-    return value, quantile_stderr(maxima, alpha, seed=seed), maxima
+    return value, quantile_stderr(maxima, alpha, seed=seed, workers=workers), maxima

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import resource
+import textwrap
 
 import numpy as np
 import pytest
@@ -56,21 +57,57 @@ def test_critvals_deterministic_across_workers(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+#: limit-field runs of two coefficient chunks, so that the draws have slices to share
+_LIMIT_ARGS = ["--d", "3", "--beta", "3", "6", "--cover-m", "300", "--reps", "5000"]
+
+
 @pytest.mark.parametrize("argv", [
     ["power", "--d", "3", "--n", "30", "--reps", "128", "--power-reps", "128", "--cover-m", "500",
      "--alt=vmf:kappa=1", "--alt=mixvmf2:p=0.5", "--alt=bing1:kappa=1", "--alt=lp:m=3,kappa=1"],
     ["critvals", "--n", "20", "30", "inf", "--reps", "128"],
-], ids=["power", "critvals"])
-def test_one_pool_commands_match_across_workers(argv, tmp_path, capsys):
-    # every job of the command shares one pool, whatever the worker count
+    ["limit", "--method", "kernel", *_LIMIT_ARGS],
+    ["limit", "--method", "harmonic", *_LIMIT_ARGS],
+    ["critvals", "--n", "30", "inf", "inf*", *_LIMIT_ARGS],
+], ids=["power", "critvals", "limit-kernel", "limit-harmonic", "critvals-inf"])
+def test_one_pool_commands_match_across_workers(argv, tmp_path):
+    # every job of the command shares one pool, and the limit field's threads
+    # draw the same bits, whatever the worker count; each run is a fresh
+    # process with single-threaded BLAS
     outputs = []
     for workers in (1, 2, 3):
         path = tmp_path / f"w{workers}.csv"
-        code, _, _ = run_cli(argv + ["--seed", "5", "--workers", str(workers), "--out", str(path)],
-                             capsys)
-        assert code == 0
+        proc = run_python("-m", "maxproj.cli", *argv, "--seed", "5", "--workers", str(workers),
+                          "--out", str(path), env=SINGLE_THREAD)
+        assert proc.returncode == 0, proc.stderr
         outputs.append(path.read_bytes())
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_limit_leaves_no_thread_behind():
+    # two usable CPUs, so that --workers 2 starts threads on any host; the
+    # cover of 2 < d directions fails after the import thread has started
+    script = textwrap.dedent("""
+        import os
+        import threading
+        from maxproj import InputError
+        from maxproj.harness import RunConfig, cmd_limit
+
+        os.sched_getaffinity = lambda pid: {0, 1}
+        before = threading.active_count()
+        for method in ("kernel", "harmonic"):
+            cmd_limit(RunConfig(d=3, betas=(3,), cover_m=300, null_replications=5000,
+                                workers=2, limit_method=method))
+            assert threading.active_count() == before, method
+            try:
+                cmd_limit(RunConfig(d=3, betas=(3,), cover_m=2, workers=2, limit_method=method))
+            except InputError:
+                pass
+            else:
+                raise AssertionError("a cover smaller than d gave rows")
+            assert threading.active_count() == before, method
+    """)
+    proc = run_python("-c", script, env=SINGLE_THREAD)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_limit_subcommand(capsys):

@@ -18,7 +18,13 @@ from maxproj.geometry import make_cover, surface_area, uniform_points
 from maxproj.harness import RunConfig, cmd_critvals, run_replications, write_rows
 from maxproj.kernels import ZonalKernel
 from maxproj.legendre import harmonic_dim, monomial_coefficients, power_expansion, psi_exact
-from maxproj.limits import harmonic_basis, simulate_harmonic_max, simulate_kernel_max
+from maxproj.limits import (
+    harmonic_basis,
+    limit_quantile,
+    quantile_stderr,
+    simulate_harmonic_max,
+    simulate_kernel_max,
+)
 from maxproj.rng import as_generator, stream
 from maxproj.samplers import LegendreProfile, VonMisesFisher, sample
 from maxproj.statistics import cvm_kernel, evaluate_battery, max_projection_values, projection_cdf
@@ -53,6 +59,12 @@ COUNTS = {
     "RunConfig power_replications": (1, lambda v: RunConfig(power_replications=v)),
     "run_replications replications": (1, lambda v: run_replications(TASK, v)),
     "RunConfig workers": (1, lambda v: RunConfig(workers=v)),
+    "run_replications workers": (1, lambda v: run_replications(TASK, 64, v)),
+    "simulate_kernel_max workers": (1, lambda v: simulate_kernel_max(2, 3, 20, 5, workers=v)),
+    "simulate_harmonic_max workers": (1, lambda v: simulate_harmonic_max(2, 3, 20, 5, workers=v)),
+    "limit_quantile workers": (1, lambda v: limit_quantile(2, 3, 0.95, "kernel", 20, 5,
+                                                           workers=v)),
+    "quantile_stderr workers": (1, lambda v: quantile_stderr(np.arange(5.0), 0.5, workers=v)),
     "stream seed": (0, stream),
     "as_generator seed": (0, as_generator),
     "RunConfig seed": (0, lambda v: RunConfig(seed=v)),
@@ -69,6 +81,13 @@ def test_a_non_integer_or_a_count_below_its_minimum_is_an_input_error(name, data
     value = data.draw(st.one_of(st.floats(), st.booleans(), st.integers(max_value=minimum - 1)))
     with pytest.raises(InputError):
         call(value)
+
+
+@pytest.mark.parametrize("value", [0, -1, 1.5, True])
+@pytest.mark.parametrize("name", [name for name in COUNTS if name.endswith(" workers")])
+def test_a_worker_count_is_an_integer_of_at_least_one(name, value):
+    with pytest.raises(InputError, match="workers must be an integer >= 1"):
+        COUNTS[name][1](value)
 
 
 @pytest.mark.parametrize("name", list(COUNTS))

@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -97,7 +98,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, replicati
             return [func(item) for item in items]
 
     def run_on(cpus, workers, replications):
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         return harness.run_replications(task, replications, workers)
 
     monkeypatch.setattr(harness, "get_context", lambda method: SimpleNamespace(Pool=Pool))
@@ -115,7 +116,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, replicati
     assert started[2:] == [2]
     # the chunks of several jobs share one pool
     del started[:]
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     outs = harness.run_jobs([(task, replications), (task, 2 * replications)], workers)
     assert len(started) == 1
     assert np.array_equal(outs[0]["T1"], serial)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 import sys
 import textwrap
 import tracemalloc
@@ -147,6 +149,67 @@ def test_quantile_stderr_matches_the_one_resample_loop(n, alpha):
         assert quantile_stderr(values, alpha, seed) == _loop_quantile_stderr(values, alpha, seed)
 
 
+def test_quantile_stderr_is_the_same_on_any_number_of_threads():
+    # four usable CPUs, so that three and four workers start as many threads
+    script = textwrap.dedent("""
+        import os
+        import numpy as np
+        from maxproj.limits import quantile_stderr
+        from maxproj.rng import stream
+
+        os.sched_getaffinity = lambda pid: set(range(4))
+        for n in (1, 2, 7, 1000, 20000):
+            values = stream(71, n).standard_normal(n)
+            values[::3] = values[0]  # ties
+            for alpha in (0.0, 0.05, 0.95, 1.0):
+                one = quantile_stderr(values, alpha, 5)
+                for workers in (2, 3, 4):
+                    assert quantile_stderr(values, alpha, 5, workers) == one, (n, alpha, workers)
+    """)
+    proc = run_python("-c", script, env=SINGLE_THREAD)
+    assert proc.returncode == 0, proc.stderr
+
+
+class _ThreadCounter:
+    """Stands in for ThreadPoolExecutor: records its size and runs each call at once."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+@pytest.mark.parametrize("cpus", (1, 3))
+def test_limit_threads_are_capped_at_the_usable_cpus(monkeypatch, capsys, cpus):
+    started = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda max_workers: _ThreadCounter(started, max_workers))
+    argv = ["--d", "3", "--beta", "3", "--cover-m", "200", "--reps", "9000", "--seed", "2"]
+    outputs = []
+    for command in (["limit", "--method", "kernel"], ["limit", "--method", "harmonic"],
+                    ["critvals", "--n", "inf", "inf*"]):
+        for workers in ("1", "100000"):
+            assert main([*command, *argv, "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[0::2] == outputs[1::2]
+    # the kernel route's import thread, then the draws and the bootstrap of
+    # each route, at most one thread per CPU; one CPU starts no thread at all
+    assert started == ([] if cpus == 1 else [1, 3, 3, 3, 3] * 2)
+
+
 def test_limit_quantile_monotone_and_bounded():
     q50, _, _ = limit_quantile(2, 3, 0.5, "kernel", m=400, replications=20_000, seed=70)
     q95, stderr95, maxima = limit_quantile(2, 3, 0.95, "kernel", m=400, replications=20_000,
@@ -200,8 +263,9 @@ DRAW_COUNTS = (1, 2, 3, 255, 256, 257, 511, 4095, 4096, 4097, 4096 + 257, 2 * 40
 
 def test_sliced_draws_equal_one_product_per_chunk_bit_for_bit():
     # Under single-threaded BLAS each slice gives the bits of the chunk's one
-    # product; multithreaded OpenBLAS splits the two products differently.
-    # The transfers are those of the two routes, caught on their way in.
+    # product, whichever thread computes it; multithreaded OpenBLAS splits the
+    # two products differently.  The transfers are those of the two routes,
+    # caught on their way in.
     script = textwrap.dedent(f"""
         import sys
         import numpy as np
@@ -211,14 +275,16 @@ def test_sliced_draws_equal_one_product_per_chunk_bit_for_bit():
 
         transfers = []
         draw = limits._batched_max_square
-        limits._batched_max_square = lambda t, r, rng: transfers.append(t) or draw(t, r, rng)
+        limits._batched_max_square = (
+            lambda t, r, rng, workers: transfers.append(t) or draw(t, r, rng, workers))
         limits.simulate_kernel_max(6, 5, 1000, 1, seed=3)
         limits.simulate_harmonic_max(6, 3, 500, 1, seed=3)
         for transfer in transfers:
             for count in {DRAW_COUNTS!r}:
-                sliced = draw(transfer, count, np.random.default_rng(count))
                 oneshot = batched_max_square_oneshot(transfer, count, np.random.default_rng(count))
-                assert np.array_equal(sliced, oneshot), (transfer.shape, count)
+                for workers in (1, 2, 3, 4):
+                    sliced = draw(transfer, count, np.random.default_rng(count), workers)
+                    assert np.array_equal(sliced, oneshot), (transfer.shape, count, workers)
         print([t.shape for t in transfers])
     """)
     proc = run_python("-c", script, env=SINGLE_THREAD)
@@ -227,17 +293,20 @@ def test_sliced_draws_equal_one_product_per_chunk_bit_for_bit():
 
 
 def test_draws_hold_one_coefficient_chunk_and_one_slice_buffer():
-    # two m x 4096 products alive at once would hold about 131 MB here
+    # two m x 4096 products alive at once would hold about 131 MB here;
+    # each thread has a slice buffer of its own
     m, r, count = 2000, 209, 8192
     transfer = np.random.default_rng(5).standard_normal((m, r))
-    tracemalloc.start()
-    try:
-        limits._batched_max_square(transfer, count, np.random.default_rng(6))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    bound = (2 * r * limits._DRAW_CHUNK + m * (2 * limits._DRAW_SLICE - 1) + count) * 8 + 2**20
-    assert peak <= bound
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            limits._batched_max_square(transfer, count, np.random.default_rng(6), workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (2 * r * limits._DRAW_CHUNK + workers * m * (2 * limits._DRAW_SLICE - 1)
+                 + count) * 8 + 2**20
+        assert peak <= bound, workers
 
 
 def test_kernel_route_equals_numpy_eigh_bit_for_bit():
