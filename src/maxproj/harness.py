@@ -34,10 +34,10 @@ from . import __version__
 from ._errors import DataError, InputError, check_dimension, check_integer, usable_workers
 from .bahadur import STUDY_DIMS, are_table
 from .geometry import latlon_to_unit, make_cover, normalize_rows, uniform_points
-from .limits import limit_quantile, quantile_stderr
+from .limits import check_harmonic_route, limit_quantile, quantile_stderr
 from .rng import NS_NULL, NS_POWER, NS_TEST, stream
 from .samplers import parse_alternative, sample
-from .statistics import LOWER_TAIL, SCIPY_FROM_DIM, evaluate_battery
+from .statistics import LOWER_TAIL, SCIPY_FROM_DIM, cover_powers, evaluate_battery
 
 #: sample-size tokens of the limiting distribution and the route that simulates it
 LIMIT_TOKENS = {"inf": "kernel", "inf*": "harmonic"}
@@ -58,18 +58,11 @@ def default_limit_cover_m(d):
 
 
 def _replicate_one(task, r):
-    d, n = task["d"], task["n"]
-    seed = task["seed"]
-    ns = task["ns"]
-    alt = task.get("alt")
-    x = (
-        uniform_points(d, n, stream(seed, *ns, r, 0))
-        if alt is None
-        else sample(alt, n, stream(seed, *ns, r, 0))
-    )
-    cover = None
-    if any(b > 2 for b in task["betas"]):
-        cover = make_cover(d, task["m"], stream(seed, *ns, r, 1))
+    d, n, seed, ns, alt = task["d"], task["n"], task["seed"], task["ns"], task.get("alt")
+    rng = stream(seed, *ns, r, 0)
+    x = uniform_points(d, n, rng) if alt is None else sample(alt, n, rng)
+    cover = (make_cover(d, task["m"], stream(seed, *ns, r, 1))
+             if cover_powers(task["betas"]) else None)
     rng_ca = stream(seed, *ns, r, 2) if task["competitors"] else None
     return evaluate_battery(x, task["betas"], cover_points=cover, rng_ca=rng_ca)
 
@@ -136,9 +129,9 @@ class RunConfig:
     the value written here.  ``cover_m`` and ``null_replications`` also size
     the limit-field simulation of :func:`cmd_limit` and of the ``inf``/``inf*``
     rows, where ``cover_m=None`` stands for :func:`default_limit_cover_m`.
-    ``workers`` bounds the worker processes of the replication loops and the
-    threads of that limit-field simulation, each capped at the usable CPUs;
-    no output depends on it.
+    ``workers`` bounds the worker processes of the replication loops, the
+    threads of that limit-field simulation and those of every ``mc_stderr``
+    bootstrap, each capped at the usable CPUs; no output depends on it.
     Repeated sample sizes and powers are dropped, keeping the first of each
     in order, so that no row or simulation is repeated.  Every count must be
     an integer (numpy's too) at or above its minimum, checked by
@@ -234,6 +227,9 @@ def cmd_critvals(config):
     ``n`` entries may be integers or the tokens ``inf`` (covariance route) and
     ``inf*`` (harmonics route) for the limiting distribution.
     """
+    if "inf*" in config.n:
+        # fail before the finite-n replications, not after them
+        check_harmonic_route(config.d, config.betas)
     finite = [n for n in config.n if not isinstance(n, str)]
     nulls = dict(zip(finite, run_jobs([_null_job(config, n) for n in finite], config.workers)))
     rows = []
@@ -242,7 +238,8 @@ def cmd_critvals(config):
             cells = _limit_cells(config, LIMIT_TOKENS[n])
         else:
             cells = [(name, critical_value(values, config.alpha, name),
-                      quantile_stderr(values, _level(name, config.alpha)),
+                      quantile_stderr(values, _level(name, config.alpha),
+                                      workers=config.workers),
                       config.null_replications, config.m)
                      for name, values in nulls[n].items()]
         rows += [{"d": config.d, "n": n, "statistic": name, "alpha": config.alpha,
@@ -307,9 +304,8 @@ def cmd_test(config):
     x, report = ingest(config.data, min_diameter=config.min_diameter)
     n, d = x.shape
     null_config = replace(config, d=d, n=(n,))
-    cover = None
-    if any(b > 2 for b in config.betas):
-        cover = make_cover(d, null_config.m, stream(config.seed, NS_TEST, 0))
+    cover = (make_cover(d, null_config.m, stream(config.seed, NS_TEST, 0))
+             if cover_powers(config.betas) else None)
     observed = evaluate_battery(x, config.betas, cover_points=cover)
     nulls = simulate_null(null_config, n)
     rows = []
@@ -350,6 +346,8 @@ def _limit_cells(config, method):
 
 
 def cmd_limit(config):
+    if config.limit_method == "harmonic":
+        check_harmonic_route(config.d, config.betas)
     rows = [{"d": config.d, "statistic": name, "alpha": config.alpha,
              "method": config.limit_method, "quantile": value, "mc_stderr": stderr,
              "replications": replications, "cover_m": m}

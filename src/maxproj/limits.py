@@ -235,6 +235,14 @@ def simulate_kernel_max(beta, d, m, replications, seed=0, workers=1):
     return _batched_max_square(transfer, replications, rng, workers)
 
 
+def check_harmonic_route(d, betas):
+    """Raise :class:`InputError` unless the harmonic route covers dimension ``d`` and all ``betas``."""
+    if d not in (2, 3):
+        raise InputError("harmonic route implemented for d in {2, 3}; use the kernel route")
+    if max(betas) > MAX_HARMONIC_BETA:
+        raise InputError(f"harmonic route implemented for beta <= {MAX_HARMONIC_BETA}")
+
+
 def simulate_harmonic_max(beta, d, m, replications, seed=0, workers=1):
     """Maxima of the squared field over a cover of ``m`` directions, via its harmonics expansion.
 
@@ -245,10 +253,7 @@ def simulate_harmonic_max(beta, d, m, replications, seed=0, workers=1):
     """
     check_integer(replications, 1, "replications")
     workers = usable_workers(workers)
-    if d not in (2, 3):
-        raise InputError("harmonic route implemented for d in {2, 3}; use the kernel route")
-    if beta > MAX_HARMONIC_BETA:
-        raise InputError(f"harmonic route implemented for beta <= {MAX_HARMONIC_BETA}")
+    check_harmonic_route(d, (beta,))
     eigenvalues = ZonalKernel(beta, d).eigenvalues
     orders = [k for k, lam in enumerate(eigenvalues) if lam]
     cover = make_cover(d, m, stream(seed, NS_LIMIT, 0))

@@ -27,6 +27,7 @@ from .legendre import psi
 
 __all__ = [
     "max_projection_values",
+    "cover_powers",
     "t1_closed",
     "t2_closed",
     "circle_classical",
@@ -65,8 +66,9 @@ def max_projection_values(x, betas, cover_points):
     """Cover-maximized statistics for several powers in one pass.
 
     Returns ``{beta: n * max_b (mean_i (b.x_i)^beta - psi_beta)^2}`` over the
-    cover directions b.  This is the hot path of the Monte Carlo loops, and it
-    has two routes that agree to rounding:
+    cover directions b.  This is the hot path of the Monte Carlo loops.  It
+    has two routes that agree to rounding; each only yields, block by block
+    of the cover, each power's profile mean_i (b.x_i)^beta:
 
     - the *direct* route projects the sample onto each block of 512 cover
       directions and raises the (block, n) projections to every power:
@@ -100,16 +102,18 @@ def max_projection_values(x, betas, cover_points):
     if not betas:
         raise InputError("no power given")
     n, d = x.shape
-    if _moment_route_cheaper(d, n, cov.shape[0], betas[-1]):
-        return _moment_values(x, betas, cov)
-    return _direct_values(x, betas, cov)
-
-
-def _direct_values(x, betas, cov):
-    """Direct route of :func:`max_projection_values`; ``betas`` sorted, unique."""
-    n, d = x.shape
+    moment = _moment_route_cheaper(d, n, cov.shape[0], betas[-1])
     psis = {b: psi(d, b) for b in betas}
     best = dict.fromkeys(betas, 0.0)
+    for b, dev in (_moment_profiles if moment else _direct_profiles)(x, betas, cov):
+        dev -= psis[b]
+        np.multiply(dev, dev, out=dev)
+        best[b] = max(best[b], float(dev.max()))
+    return {b: n * v for b, v in best.items()}
+
+
+def _direct_profiles(x, betas, cov):
+    """Direct route: ``(beta, profile)`` per cover block and power, by raising projections."""
     xt = np.ascontiguousarray(x.T)
     for start in range(0, cov.shape[0], _DIRECT_BLOCK):
         proj = cov[start : start + _DIRECT_BLOCK] @ xt
@@ -117,13 +121,8 @@ def _direct_values(x, betas, cov):
         for b in range(1, betas[-1] + 1):
             if b > 1:
                 powers *= proj
-            if b in psis:
-                dev = powers.mean(axis=1)
-                dev -= psis[b]
-                peak = float(np.max(dev * dev))
-                if peak > best[b]:
-                    best[b] = peak
-    return {b: n * v for b, v in best.items()}
+            if b in betas:
+                yield b, powers.mean(axis=1)
 
 
 #: the moment route is never used above this many monomials, which bounds
@@ -207,8 +206,8 @@ def _fill_monomials(buf, points, steps, r):
     return feats
 
 
-def _moment_values(x, betas, cov):
-    """Moment route of :func:`max_projection_values`; ``betas`` sorted, unique."""
+def _moment_profiles(x, betas, cov):
+    """Moment route: ``(beta, profile)`` per cover block and power, one gemv each."""
     n, d = x.shape
     m = cov.shape[0]
     steps, offsets, coefficients = _monomial_plan(d, betas[-1])
@@ -227,8 +226,6 @@ def _moment_values(x, betas, cov):
         for b in betas:
             sums[b] = sums[b] + feats[offsets[b - 1] : offsets[b]].sum(axis=1)
     weights = {b: coefficients[b - 1] * (sums[b] / n) for b in betas}
-    psis = {b: psi(d, b) for b in betas}
-    best = dict.fromkeys(betas, 0.0)
     # the final partial _SAMPLE_BLOCK of the cover stays a block of its own:
     # gemv sums the last (width mod 4) columns of a block, and every column of
     # a block narrower than 4, in another order than the rest
@@ -237,13 +234,12 @@ def _moment_values(x, betas, cov):
     for start, stop in zip(bounds, bounds[1:]):
         feats = _fill_monomials(buf, cov[start:stop], steps, r)
         for b in betas:
-            dev = weights[b] @ feats[offsets[b - 1] : offsets[b]]
-            dev -= psis[b]
-            np.multiply(dev, dev, out=dev)
-            peak = float(dev.max())
-            if peak > best[b]:
-                best[b] = peak
-    return {b: n * v for b, v in best.items()}
+            yield b, weights[b] @ feats[offsets[b - 1] : offsets[b]]
+
+
+def cover_powers(betas):
+    """The powers of ``betas`` scored as cover maxima: all but 1 and 2, which have closed forms."""
+    return [b for b in betas if b > 2]
 
 
 def t1_closed(sample):
@@ -516,7 +512,7 @@ def evaluate_battery(x, betas, cover_points=None, rng_ca=None):
     vals = {}
     for b in betas:
         check_integer(b, 1, "power")
-    cover_betas = [b for b in betas if b > 2]
+    cover_betas = cover_powers(betas)
     if 1 in betas:
         vals["T1"] = t1_closed(x)
     if 2 in betas:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import re
 import resource
 import textwrap
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import maxproj.harness as harness
 from conftest import SINGLE_THREAD, run_python
 from maxproj.cli import SUBCOMMANDS, main
 from maxproj.geometry import uniform_points
@@ -68,11 +70,18 @@ _LIMIT_ARGS = ["--d", "3", "--beta", "3", "6", "--cover-m", "300", "--reps", "50
     ["limit", "--method", "kernel", *_LIMIT_ARGS],
     ["limit", "--method", "harmonic", *_LIMIT_ARGS],
     ["critvals", "--n", "30", "inf", "inf*", *_LIMIT_ARGS],
-], ids=["power", "critvals", "limit-kernel", "limit-harmonic", "critvals-inf"])
+    # 128 null replications are two chunks of 64, so the null simulation forks
+    ["test", "--data", "{data}", "--reps", "128"],
+], ids=["power", "critvals", "limit-kernel", "limit-harmonic", "critvals-inf", "test"])
 def test_one_pool_commands_match_across_workers(argv, tmp_path):
     # every job of the command shares one pool, and the limit field's threads
     # draw the same bits, whatever the worker count; each run is a fresh
     # process with single-threaded BLAS
+    points = uniform_points(3, 60, stream(64))
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2,x3\n" + "".join(",".join(map(repr, row)) + "\n"
+                                           for row in points.tolist()))
+    argv = [arg.format(data=data) for arg in argv]
     outputs = []
     for workers in (1, 2, 3):
         path = tmp_path / f"w{workers}.csv"
@@ -81,6 +90,25 @@ def test_one_pool_commands_match_across_workers(argv, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(path.read_bytes())
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["critvals", "--d", "4", "--n", "100", "inf*", "--beta", "3"],
+     r"harmonic route implemented for d in \{2, 3\}"),
+    (["critvals", "--d", "3", "--n", "100", "inf*", "--beta", "3", "7"],
+     "harmonic route implemented for beta <= 6"),
+    (["limit", "--method", "harmonic", "--d", "3", "--beta", "3", "7"],
+     "harmonic route implemented for beta <= 6"),
+], ids=["critvals-d4", "critvals-beta7", "limit-beta7"])
+def test_harmonic_route_is_checked_before_any_simulation(argv, message, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated before the harmonic route was checked")
+
+    monkeypatch.setattr(harness, "run_jobs", fail)
+    monkeypatch.setattr(harness, "limit_quantile", fail)
+    code, out, err = run_cli([*argv, "--reps", "3000"], capsys)
+    assert code == 1 and out == ""
+    assert re.search(message, err), err
 
 
 def test_limit_leaves_no_thread_behind():

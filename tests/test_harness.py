@@ -123,6 +123,27 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, replicati
     assert np.array_equal(outs[1]["T1"], harness.run_replications(task, 2 * replications)["T1"])
 
 
+#: replications of each exact-law check, and the KS distance above which it
+#: fails: about the 0.1% critical value 1.95 / sqrt(R) of the Kolmogorov law
+EXACT_LAW_REPS = 20_000
+EXACT_LAW_KS = 1.95 / math.sqrt(EXACT_LAW_REPS)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 10))
+def test_t1_of_two_points_has_its_exact_law(d):
+    # at n = 2, T1 = 2 ||(x1 + x2) / 2||^2 = 1 + x1.x2, and x1.x2 has the
+    # density of one projection b.U, so T1 / 2 ~ Beta((d-1)/2, (d-1)/2):
+    # the arcsine law at d = 2, uniform on [0, 1] at d = 3.  With betas=(1,)
+    # no cover is drawn
+    from scipy import stats
+
+    config = small_config(d=d, n=(2,), betas=(1,), null_replications=EXACT_LAW_REPS,
+                          workers=WORKERS)
+    t1 = harness.run_replications(*harness._null_job(config, 2), config.workers)["T1"]
+    a = (d - 1) / 2
+    assert stats.kstest(t1 / 2, stats.beta(a, a).cdf).statistic <= EXACT_LAW_KS
+
+
 def test_battery_names_by_dimension():
     names = {}
     for d in (2, 3):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from maxproj.legendre import psi
 from maxproj.rng import stream
 from maxproj.samplers import VonMisesFisher, sample
 from maxproj.statistics import (
-    _direct_values,
+    _direct_profiles,
+    _moment_profiles,
     _moment_route_cheaper,
-    _moment_values,
     ca_statistic,
     circle_classical,
     cvm_kernel,
@@ -143,8 +144,15 @@ def test_non_finite_cover_rejected(n, moment_route):
 
 # --- the two routes of max_projection_values ------------------------------------
 
-ROUTES = (_direct_values, _moment_values)
+ROUTES = (_direct_profiles, _moment_profiles)
 ROUTE_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def route_values(route, x, betas, cover):
+    """:func:`max_projection_values` on ``route``, whichever route its rule would pick."""
+    moment = route is _moment_profiles
+    with mock.patch.object(statistics, "_moment_route_cheaper", lambda *args: moment):
+        return max_projection_values(x, betas, cover)
 
 
 def _route_case(d, n, seed, m=300):
@@ -161,8 +169,8 @@ def _route_case(d, n, seed, m=300):
 def test_moment_route_matches_direct_route(d, n, betas, seed):
     x, cover = _route_case(d, n, seed)
     betas = sorted(betas)
-    direct = _direct_values(x, betas, cover)
-    moment = _moment_values(x, betas, cover)
+    direct = route_values(_direct_profiles, x, betas, cover)
+    moment = route_values(_moment_profiles, x, betas, cover)
     for b in betas:
         assert abs(moment[b] - direct[b]) <= 1e-12 * direct[b], (b, moment[b], direct[b])
 
@@ -175,7 +183,7 @@ def test_moment_route_matches_direct_route(d, n, betas, seed):
 )
 def test_moment_route_never_exceeds_closed_forms(d, n, seed):
     x, cover = _route_case(d, n, seed, m=2000)
-    moment = _moment_values(x, [1, 2], cover)
+    moment = route_values(_moment_profiles, x, [1, 2], cover)
     assert moment[1] <= t1_closed(x) + 1e-12
     assert moment[2] <= t2_closed(x) + 1e-12
 
@@ -187,8 +195,8 @@ def test_routes_rotation_invariant(d, n, seed):
     rot = random_rotation(d, stream(60, seed, 2))
     betas = [3, 4, 5, 6]
     for route in ROUTES:
-        base = route(x, betas, cover)
-        rotated = route(x @ rot.T, betas, cover @ rot.T)
+        base = route_values(route, x, betas, cover)
+        rotated = route_values(route, x @ rot.T, betas, cover @ rot.T)
         for b in betas:
             assert rotated[b] == pytest.approx(base[b], rel=1e-9, abs=1e-12)
 
@@ -204,8 +212,8 @@ def test_routes_monotone_in_nested_covers(d, n, m_small, seed):
     x, cover = _route_case(d, n, seed, m=1500)
     betas = [1, 2, 3, 4, 6]
     for route in ROUTES:
-        small = route(x, betas, cover[:m_small])
-        big = route(x, betas, cover)
+        small = route_values(route, x, betas, cover[:m_small])
+        big = route_values(route, x, betas, cover)
         for b in betas:
             assert big[b] >= small[b] * (1.0 - 1e-12)
 
@@ -275,7 +283,8 @@ def test_moment_route_is_bit_equal_to_the_gather_build(d, n, m, betas, peak_last
         k = min(3, m)
         cover[-k:] = pole + 1e-3 * cover[-k:]
         cover /= np.linalg.norm(cover, axis=1, keepdims=True)
-    assert _moment_values(x, betas, cover) == _gather_moment_values(x, betas, cover)
+    moment = route_values(_moment_profiles, x, betas, cover)
+    assert moment == _gather_moment_values(x, betas, cover)
 
 
 #: _moment_route_cheaper over n in ROUTE_GRID_N (space-separated groups) and
@@ -318,7 +327,8 @@ def test_route_dispatch():
     assert not _moment_route_cheaper(7, 10**7, 20000, 9)
     x = uniform_points(3, 1000, stream(61))
     cover = uniform_points(3, 700, stream(62))
-    assert max_projection_values(x, [3, 6], cover) == _moment_values(x, [3, 6], cover)
+    moment = route_values(_moment_profiles, x, [3, 6], cover)
+    assert max_projection_values(x, [3, 6], cover) == moment
 
 
 # --- circle battery ----------------------------------------------------------
