@@ -60,8 +60,8 @@ OPTIONS = {
                         "limit-field replications"),
     "--seed": dict(dest="seed", type=int),
     "--workers": dict(dest="workers", type=int,
-                      help="worker processes; also the threads of every mc_stderr "
-                           "bootstrap and, for limit and the inf/inf* rows, of the field draws"),
+                      help="worker processes; for limit and the inf/inf* rows, also the "
+                           "threads of the field draws"),
     "--out": dict(default=None, help="output path (default: stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--power-reps": dict(dest="power_replications", type=int,

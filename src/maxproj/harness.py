@@ -24,7 +24,9 @@ import csv
 import io
 import json
 import math
+import numbers
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
@@ -129,14 +131,17 @@ class RunConfig:
     the value written here.  ``cover_m`` and ``null_replications`` also size
     the limit-field simulation of :func:`cmd_limit` and of the ``inf``/``inf*``
     rows, where ``cover_m=None`` stands for :func:`default_limit_cover_m`.
-    ``workers`` bounds the worker processes of the replication loops, the
-    threads of that limit-field simulation and those of every ``mc_stderr``
-    bootstrap, each capped at the usable CPUs; no output depends on it.
-    Repeated sample sizes and powers are dropped, keeping the first of each
-    in order, so that no row or simulation is repeated.  Every count must be
-    an integer (numpy's too) at or above its minimum, checked by
+    ``workers`` bounds the worker processes of the replication loops and the
+    threads of that simulation's field draws, each capped at the usable CPUs;
+    every ``mc_stderr`` bootstrap runs on the calling thread, and no output
+    depends on ``workers``.  ``n`` and ``betas`` are sequences; repeated
+    sample sizes and powers are dropped, keeping the first of each in order,
+    so that no row or simulation is repeated.  Every count must be an integer
+    (numpy's too) at or above its minimum, checked by
     :func:`~maxproj._errors.check_integer`: 2 for ``d``, 0 for ``seed`` and 1
     for ``cover_m``, the replications, ``workers``, each power and finite n.
+    ``alpha`` and ``min_diameter`` must be real numbers.  Any other value
+    raises :class:`~maxproj._errors.InputError`.
     """
 
     d: int = 2
@@ -158,13 +163,19 @@ class RunConfig:
         check_dimension(self.d)
         if self.cover_m is not None:
             check_integer(self.cover_m, 1, "cover_m")
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError("alpha must lie in (0, 1)")
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
+            raise InputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         for attr in ("null_replications", "power_replications", "workers"):
             check_integer(getattr(self, attr), 1, attr)
         check_integer(self.seed, 0, "seed")
-        if self.min_diameter is not None and math.isnan(self.min_diameter):
-            raise InputError("min_diameter must be a number, got nan")
+        if self.min_diameter is not None and not (isinstance(self.min_diameter, numbers.Real)
+                                                  and not math.isnan(self.min_diameter)):
+            raise InputError(f"min_diameter must be a number, got {self.min_diameter!r}")
+        for attr in ("n", "betas"):
+            values = getattr(self, attr)
+            if isinstance(values, str) or not isinstance(values, Iterable):
+                raise InputError(f"{attr} must be a sequence, got {values!r}")
+            setattr(self, attr, tuple(values))
         if not self.n:
             raise InputError("no sample size given")
         for n in self.n:
@@ -238,8 +249,7 @@ def cmd_critvals(config):
             cells = _limit_cells(config, LIMIT_TOKENS[n])
         else:
             cells = [(name, critical_value(values, config.alpha, name),
-                      quantile_stderr(values, _level(name, config.alpha),
-                                      workers=config.workers),
+                      quantile_stderr(values, _level(name, config.alpha)),
                       config.null_replications, config.m)
                      for name, values in nulls[n].items()]
         rows += [{"d": config.d, "n": n, "statistic": name, "alpha": config.alpha,

@@ -11,8 +11,7 @@ with the zonal covariance of :mod:`maxproj.kernels`.  Two simulation routes:
   overwrite the covariance, so it holds about 3 m^2 doubles (the matrix and
   LAPACK's workspace), not the 5 m^2 of ``numpy.linalg.eigh``, which gives
   the same bits from a copy into a separate output.  ``scipy.linalg`` is
-  imported inside the function: with more than one worker on a second
-  thread while the covariance is built, else after it.
+  imported inside the function, after the covariance is built.
 
 * ``simulate_harmonic_max`` uses the finite spherical-harmonics expansion of
   the field: independent standard normal coefficients weighted by the square
@@ -23,15 +22,14 @@ with the zonal covariance of :mod:`maxproj.kernels`.  Two simulation routes:
 Both routes share a single cover per batch: the factorization/basis matrix is
 built once and reused across replications, whose maxima are then iid.
 
-``workers`` bounds the threads of the field draws and of the bootstrap, capped
-at the CPUs the process may run on; one worker starts no thread.  The calling
-thread draws every random number, in the same order for any ``workers``, and
-the threads compute the same products and quantiles on the same operands, so
-the output bits do not depend on the thread count.  The draws hold two
+``workers`` bounds the threads of the field draws, the only threaded work here,
+capped at the CPUs the process may run on; one worker starts no thread.  The
+calling thread draws every random number, in the same order for any
+``workers``, and the threads compute the same products on the same operands,
+so the output bits do not depend on the thread count.  The draws hold two
 coefficient chunks and one m x (2 * _DRAW_SLICE - 1) slice buffer per thread.
 """
 
-import importlib
 import math
 from collections import deque
 
@@ -196,27 +194,14 @@ def _batched_max_square(transfer, replications, rng, workers=1):
 def simulate_kernel_max(beta, d, m, replications, seed=0, workers=1):
     """Maxima of the squared field over a cover of ``m`` directions, via the covariance route.
 
-    With ``workers`` > 1, a second thread imports ``scipy.linalg`` while the
-    covariance is built, and the field draws run on up to ``workers``
-    threads; the maxima do not depend on ``workers``.
+    The field draws run on up to ``workers`` threads; the maxima do not
+    depend on ``workers``.
     """
     check_integer(replications, 1, "replications")
     workers = usable_workers(workers)
-    importer = loaded = None
-    if workers > 1:
-        # the import takes about 0.2 s; the cover and the Gram matrix are
-        # built meanwhile, on this thread, where a tracer can see them
-        from concurrent.futures import ThreadPoolExecutor
-
-        importer = ThreadPoolExecutor(1)
-        loaded = importer.submit(importlib.import_module, "scipy.linalg")
-    try:
-        cover = make_cover(d, m, stream(seed, NS_LIMIT, 0))
-        sigma = ZonalKernel(beta, d).gram(cover)
-    finally:
-        if importer is not None:
-            importer.shutdown()
-    linalg = loaded.result() if loaded else importlib.import_module("scipy.linalg")
+    cover = make_cover(d, m, stream(seed, NS_LIMIT, 0))
+    sigma = ZonalKernel(beta, d).gram(cover)
+    from scipy import linalg
 
     # the Gram matrix is exactly symmetric, so its transpose is a Fortran
     # view of the same values: dsyevd factors it as numpy's eigh would and
@@ -269,22 +254,22 @@ def simulate_harmonic_max(beta, d, m, replications, seed=0, workers=1):
 # quantiles
 
 
-def quantile_stderr(values, alpha, seed=0, workers=1):
-    """Bootstrap standard error of an empirical quantile.
-
-    The resample indices are drawn in the calling thread, in the same order
-    for any ``workers``; the quantiles of up to ``workers`` blocks of
-    resamples are taken at once on threads.
-    """
-    workers = usable_workers(workers)
+def quantile_stderr(values, alpha, seed=0):
+    """Bootstrap standard error of the ``alpha``-quantile of the non-empty 1-D ``values``."""
     values = np.asarray(values)
+    if values.ndim != 1 or values.size == 0:
+        raise InputError(f"values must be a non-empty 1-D array, got shape {values.shape}")
+    if not 0.0 <= alpha <= 1.0:
+        raise InputError(f"quantile level must lie in [0, 1], got {alpha}")
     rng = stream(seed, NS_LIMIT, 2)
     n = values.shape[0]
-    # the same indices, in the same order, as _BOOTSTRAP draws of size n
-    blocks = (rng.integers(0, n, size=(min(_BOOTSTRAP_BLOCK, _BOOTSTRAP - start), n))
-              for start in range(0, _BOOTSTRAP, _BOOTSTRAP_BLOCK))
-    reps = _thread_map(lambda idx: np.quantile(values[idx], alpha, axis=1), blocks, workers)
-    return float(np.concatenate(reps).std(ddof=1))
+    reps = np.empty(_BOOTSTRAP)
+    for start in range(0, _BOOTSTRAP, _BOOTSTRAP_BLOCK):
+        stop = min(start + _BOOTSTRAP_BLOCK, _BOOTSTRAP)
+        # the same indices, in the same order, as stop - start draws of size n
+        idx = rng.integers(0, n, size=(stop - start, n))
+        reps[start:stop] = np.quantile(values[idx], alpha, axis=1)
+    return float(reps.std(ddof=1))
 
 
 def limit_quantile(beta, d, alpha, method, m, replications, seed=0, workers=1):
@@ -294,8 +279,7 @@ def limit_quantile(beta, d, alpha, method, m, replications, seed=0, workers=1):
     standard error and the simulated maxima.  ``alpha`` is the quantile
     level, 0 and 1 included: a test at a level below about 1.1e-16 asks for
     the level 1.0, because 1.0 - level rounds to 1.0.  ``workers`` bounds
-    the threads of the simulation and of the bootstrap; the result does not
-    depend on it.
+    the threads of the field draws; the result does not depend on it.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"quantile level must lie in [0, 1], got {alpha}")
@@ -306,4 +290,4 @@ def limit_quantile(beta, d, alpha, method, m, replications, seed=0, workers=1):
     else:
         raise InputError(f"unknown method {method!r}; expected 'kernel' or 'harmonic'")
     value = float(np.quantile(maxima, alpha))
-    return value, quantile_stderr(maxima, alpha, seed=seed, workers=workers), maxima
+    return value, quantile_stderr(maxima, alpha, seed=seed), maxima

@@ -356,8 +356,8 @@ def preset(name, d, **params):
         if key not in keys:
             raise InputError(f"preset {name!r} takes {', '.join(keys) or 'no parameters'}, "
                              f"not {key!r}")
-        if not math.isfinite(value):
-            raise InputError(f"preset {name!r}: {key}={value} is not finite")
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise InputError(f"preset {name!r}: {key}={value!r} is not a finite number")
     for key in required:
         if key not in params:
             raise InputError(f"preset {name!r} needs the parameter {key!r}")

@@ -112,8 +112,8 @@ def test_harmonic_route_is_checked_before_any_simulation(argv, message, monkeypa
 
 
 def test_limit_leaves_no_thread_behind():
-    # two usable CPUs, so that --workers 2 starts threads on any host; the
-    # cover of 2 < d directions fails after the import thread has started
+    # two usable CPUs, so that --workers 2 starts the draw threads on any
+    # host; the cover of 2 < d directions fails before any thread starts
     script = textwrap.dedent("""
         import os
         import threading

@@ -21,7 +21,6 @@ from maxproj.legendre import harmonic_dim, monomial_coefficients, power_expansio
 from maxproj.limits import (
     harmonic_basis,
     limit_quantile,
-    quantile_stderr,
     simulate_harmonic_max,
     simulate_kernel_max,
 )
@@ -64,7 +63,6 @@ COUNTS = {
     "simulate_harmonic_max workers": (1, lambda v: simulate_harmonic_max(2, 3, 20, 5, workers=v)),
     "limit_quantile workers": (1, lambda v: limit_quantile(2, 3, 0.95, "kernel", 20, 5,
                                                            workers=v)),
-    "quantile_stderr workers": (1, lambda v: quantile_stderr(np.arange(5.0), 0.5, workers=v)),
     "stream seed": (0, stream),
     "as_generator seed": (0, as_generator),
     "RunConfig seed": (0, lambda v: RunConfig(seed=v)),

@@ -61,6 +61,12 @@ def test_negative_seed_is_an_input_error():
     (dict(d=-3), "dimension must be an integer >= 2"),
     (dict(cover_m=0), "cover_m must be an integer >= 1"),
     (dict(min_diameter=float("nan")), "min_diameter must be a number"),
+    # a setting of the wrong type is an input error, not a TypeError
+    (dict(alpha=None), r"alpha must lie in \(0, 1\), got None"),
+    (dict(alpha="0.05"), r"alpha must lie in \(0, 1\), got '0.05'"),
+    (dict(min_diameter="150"), "min_diameter must be a number, got '150'"),
+    (dict(n=10), "n must be a sequence, got 10"),
+    (dict(betas=3), "betas must be a sequence, got 3"),
 ])
 def test_dimension_and_cover_size_are_checked_up_front(bad, message):
     with pytest.raises(InputError, match=message):

@@ -87,6 +87,13 @@ def test_numpy_only_commands_import_no_scipy(argv, catalogue):
     assert scipy == []
 
 
+def test_finite_n_critvals_starts_no_thread_pool():
+    # only the field draws of the limit routes run on threads; a command that
+    # imports scipy.linalg or scipy.special loads concurrent.futures anyway
+    modules = imported_modules(["critvals", "--d", "3", "--reps", "128", "--workers", "2"])
+    assert [m for m in modules if m.split(".")[0] == "concurrent"] == []
+
+
 @pytest.mark.parametrize("argv", [
     ["limit", "--d", "3", "--beta", "3", "4", "--method", "kernel", "--cover-m", "200",
      "--reps", "500"],

@@ -261,3 +261,5 @@ def test_a_concentration_that_is_not_a_real_number_is_an_input_error(kappa):
     for spec in (VonMisesFisher, Watson, lambda theta, kappa: LegendreProfile(2, theta, kappa)):
         with pytest.raises(InputError, match="concentration must be finite and >= 0"):
             spec(E1_3, kappa)
+    with pytest.raises(InputError, match="preset 'vmf1': kappa=.* is not a finite number"):
+        preset("vmf1", 3, kappa=kappa)
