@@ -22,6 +22,7 @@ the axis, s = 1.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -117,8 +118,8 @@ def kl_divergence(alt, d, kappa, m=None):
     accuracy, and an error in log c moves the value only to second order.
     """
     _check_alt(alt, d, m)
-    if not 0.0 < kappa < math.inf:
-        raise InputError(f"kappa must be finite and > 0, got {kappa}")
+    if not (isinstance(kappa, numbers.Real) and 0.0 < kappa < math.inf):
+        raise InputError(f"kappa must be finite and > 0, got {kappa!r}")
     if alt == "lp" and kappa > 1.0:
         raise InputError("profile-class kappa must lie in (0, 1]")
     from scipy import integrate
@@ -150,8 +151,8 @@ def kl_divergence(alt, d, kappa, m=None):
 def gamma_profile(alt, beta, d, kappa, s, m=None):
     """gamma_kappa as a function of s = cos(angle to the symmetry axis)."""
     _check_alt(alt, d, m)
-    if not 0.0 <= kappa < math.inf:
-        raise InputError(f"kappa must be finite and >= 0, got {kappa}")
+    if not (isinstance(kappa, numbers.Real) and 0.0 <= kappa < math.inf):
+        raise InputError(f"kappa must be finite and >= 0, got {kappa!r}")
     s = np.asarray(s, dtype=float)
     # the j = 0 term is psi_d(beta), the uniform moment that gamma subtracts
     means = _family(alt, beta, d, kappa, m=m)[0]

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: ``critvals``, ``power``, ``test``, ``limit``, ``bahadur``,
-``ingest-check``.  Exit codes: 0 success, 1 usage error or out of memory,
-2 data error, 3 numerical error.
+Subcommands: ``critvals``, ``power``, ``test``, ``limit``, ``ingest-check``,
+each run on the ``RunConfig`` its options fill, and ``bahadur``.  Exit codes:
+0 success, 1 usage error or out of memory, 2 data error, 3 numerical error.
 """
 
 import argparse
@@ -77,16 +77,31 @@ OPTIONS = {
 _RUN = ("--d", "--n", "--beta", "--alpha", "--cover-m", "--reps", "--seed", "--workers",
         "--out", "--format")
 
-#: simulation subcommand -> (help, the options it registers)
+
+def _ingest_check(config):
+    _, report = ingest(config.data, min_diameter=config.min_diameter)
+    print(
+        f"schema={report.schema} read={report.rows_read} kept={report.rows_kept} "
+        f"repaired={report.rows_repaired} skipped={report.rows_skipped} "
+        f"filtered={report.rows_filtered}"
+    )
+
+
+#: the one table of the subcommands that run on a RunConfig: subcommand -> (help,
+#: the options it registers, the function of the RunConfig that returns the rows to
+#: write, or None when it prints its own report); ``bahadur``, whose --d takes a
+#: list of dimensions, is the only subcommand outside it
 SUBCOMMANDS = {
-    "critvals": ("simulate null critical values", _RUN),
-    "power": ("empirical power table", (*_RUN, "--power-reps", "--alt")),
+    "critvals": ("simulate null critical values", _RUN, cmd_critvals),
+    "power": ("empirical power table", (*_RUN, "--power-reps", "--alt"), cmd_power),
     "test": ("test an observed dataset",
              ("--d", "--beta", "--cover-m", "--reps", "--seed", "--workers", "--out", "--format",
-              "--data", "--min-diameter")),
+              "--data", "--min-diameter"), cmd_test),
     "limit": ("limit-distribution quantiles",
               ("--d", "--beta", "--alpha", "--cover-m", "--reps", "--seed", "--workers", "--out",
-               "--format", "--method")),
+               "--format", "--method"), cmd_limit),
+    "ingest-check": ("validate a data file and print the report", ("--data", "--min-diameter"),
+                     _ingest_check),
 }
 
 #: (subcommand, option) -> help of an option its command accepts but does not read;
@@ -101,7 +116,7 @@ _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 def build_parser():
     parser = _Parser(prog="maxproj", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in SUBCOMMANDS.items():
+    for name, (help_text, flags, _) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for flag in flags:
             kwargs = dict(OPTIONS[flag])
@@ -112,44 +127,17 @@ def build_parser():
     b.add_argument("--d", dest="dims", type=int, nargs="+", default=STUDY_DIMS)
     for flag in ("--out", "--format"):
         b.add_argument(flag, **OPTIONS[flag])
-    i = subs.add_parser("ingest-check", help="validate a data file and print the report",
-                        argument_default=argparse.SUPPRESS)
-    for flag in ("--data", "--min-diameter"):
-        i.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
-def _config_from(args):
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in _FIELDS})
-
-
-def _ingest_check(args):
-    config = _config_from(args)
-    _, report = ingest(config.data, min_diameter=config.min_diameter)
-    print(
-        f"schema={report.schema} read={report.rows_read} kept={report.rows_kept} "
-        f"repaired={report.rows_repaired} skipped={report.rows_skipped} "
-        f"filtered={report.rows_filtered}"
-    )
-
-
-#: subcommand -> function of the parsed arguments returning the rows to write
-#: (None when the command prints its own report)
-COMMANDS = {
-    "critvals": lambda args: cmd_critvals(_config_from(args)),
-    "power": lambda args: cmd_power(_config_from(args)),
-    "test": lambda args: cmd_test(_config_from(args)),
-    "limit": lambda args: cmd_limit(_config_from(args)),
-    "bahadur": lambda args: cmd_bahadur(dims=tuple(args.dims)),
-    "ingest-check": _ingest_check,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        rows = COMMANDS[args.command](args)
+        if args.command == "bahadur":
+            rows = cmd_bahadur(dims=tuple(args.dims))
+        else:
+            config = RunConfig(**{k: v for k, v in vars(args).items() if k in _FIELDS})
+            rows = SUBCOMMANDS[args.command][2](config)
         text = None if rows is None else write_rows(rows, fmt=args.format, path=args.out)
     except DataError as exc:
         print(f"maxproj: data error: {exc}", file=sys.stderr)

@@ -82,6 +82,8 @@ def make_cover(d, m, seed):
     ``m >= d`` so that the cover spans R^d and downstream covariance
     matrices have full column space.
     """
+    check_dimension(d)
+    check_integer(m, 1, "cover size")
     if m < d:
         raise InputError(f"cover size {m} must be at least d = {d}")
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed, NS_COVER)

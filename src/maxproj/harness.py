@@ -229,6 +229,8 @@ def _level(name, alpha):
 
 
 def critical_value(null_values, alpha, name):
+    if np.size(null_values) == 0:
+        raise InputError("no null values to take a critical value from")
     return float(np.quantile(null_values, _level(name, alpha)))
 
 
@@ -303,6 +305,8 @@ def cmd_power(config):
 def mc_pvalue(null_values, observed, name):
     """(r + 1) / (R + 1) Monte Carlo p-value in the rejection tail of statistic ``name``."""
     null_values = np.asarray(null_values)
+    if null_values.size == 0:
+        raise InputError("no null values to take a p-value from")
     r = np.sum(null_values <= observed) if name in LOWER_TAIL else np.sum(null_values >= observed)
     return float((r + 1) / (null_values.shape[0] + 1))
 
@@ -398,7 +402,8 @@ def ingest(path, min_diameter=None):
     supports ``min_diameter`` filtering, which also drops a row whose diameter
     is NaN; the column is read only under that filter.  Slightly off-sphere
     coordinate rows are renormalized and counted; rows that cannot be
-    repaired are skipped.
+    repaired are skipped.  Each row is parsed, filtered and converted in one
+    pass, so a :class:`DataError` names the first bad row in file order.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -433,7 +438,8 @@ def ingest(path, min_diameter=None):
         if "diameter_km" not in cols:
             raise DataError(f"{path}: no diameter_km column for the diameter filter")
         diam_idx = cols.index("diameter_km")
-    raw = []
+    latlon = report.schema == "latlon"
+    pts = []
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -446,20 +452,16 @@ def ingest(path, min_diameter=None):
         if min_diameter is not None and not diam >= min_diameter:  # NaN is filtered
             report.rows_filtered += 1
             continue
-        raw.append((line_no, vals))
-    if not raw:
+        try:
+            pts.append(latlon_to_unit(*vals) if latlon else vals)
+        except InputError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
+    if not pts:
         raise DataError(f"{path}: no usable rows")
-    if report.schema == "latlon":
-        pts = []
-        for line_no, (lat, lon) in raw:
-            try:
-                pts.append(latlon_to_unit(lat, lon))
-            except InputError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from None
-        arr = np.array(pts)
+    arr = np.array(pts)
+    if latlon:
         report.rows_kept = arr.shape[0]
         return arr, report
-    arr = np.array([v for _, v in raw])
     unit, repaired, bad = normalize_rows(arr)
     report.rows_repaired = int(repaired.sum())
     report.rows_skipped = int(bad.sum())
@@ -475,7 +477,9 @@ def ingest(path, min_diameter=None):
 
 
 def write_rows(rows, fmt="csv", path=None):
-    """Serialize row dicts; returns the text when ``path`` is None."""
+    """Serialize a non-empty list of row dicts; returns the text when ``path`` is None."""
+    if not rows:
+        raise InputError("no rows to write")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")

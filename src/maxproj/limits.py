@@ -31,6 +31,7 @@ coefficient chunks and one m x (2 * _DRAW_SLICE - 1) slice buffer per thread.
 """
 
 import math
+import numbers
 from collections import deque
 
 import numpy as np
@@ -259,8 +260,8 @@ def quantile_stderr(values, alpha, seed=0):
     values = np.asarray(values)
     if values.ndim != 1 or values.size == 0:
         raise InputError(f"values must be a non-empty 1-D array, got shape {values.shape}")
-    if not 0.0 <= alpha <= 1.0:
-        raise InputError(f"quantile level must lie in [0, 1], got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= 1.0):
+        raise InputError(f"quantile level must lie in [0, 1], got {alpha!r}")
     rng = stream(seed, NS_LIMIT, 2)
     n = values.shape[0]
     reps = np.empty(_BOOTSTRAP)
@@ -281,8 +282,8 @@ def limit_quantile(beta, d, alpha, method, m, replications, seed=0, workers=1):
     the level 1.0, because 1.0 - level rounds to 1.0.  ``workers`` bounds
     the threads of the field draws; the result does not depend on it.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InputError(f"quantile level must lie in [0, 1], got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= 1.0):
+        raise InputError(f"quantile level must lie in [0, 1], got {alpha!r}")
     if method == "kernel":
         maxima = simulate_kernel_max(beta, d, m, replications, seed=seed, workers=workers)
     elif method == "harmonic":

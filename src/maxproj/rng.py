@@ -33,13 +33,16 @@ def stream(seed, *path):
     seed : int
         Master seed (64-bit, non-negative).
     *path : int
-        Stream coordinates, e.g. ``(NS_NULL, replication, substream)``.
+        Stream coordinates, each an integer >= 0, e.g.
+        ``(NS_NULL, replication, substream)``.
 
     Returns
     -------
     numpy.random.Generator
     """
     check_integer(seed, 0, "seed")
+    for p in path:
+        check_integer(p, 0, "stream index")
     key = tuple(int(p) for p in path)
     ss = np.random.SeedSequence(seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))

@@ -16,6 +16,7 @@ from maxproj.bahadur import (
 from maxproj.geometry import make_cover
 from maxproj.kernels import ZonalKernel
 from maxproj.legendre import harmonic_dim, legendre_eval, power_expansion
+from maxproj.limits import limit_quantile, quantile_stderr
 from maxproj.rng import stream
 from maxproj.samplers import LegendreProfile, sample
 from oracles import delta_ratio, shift_amplitude_exact, vmf_mean_resultant
@@ -106,6 +107,22 @@ def test_kl_input_validation():
         gamma_shift("vmf", 3, 3, math.nan)
     with pytest.raises(InputError):
         slope("vmf", 3, 3, math.inf)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: quantile_stderr(np.arange(5.0), v),
+    lambda v: limit_quantile(1, 2, v, "kernel", 50, 10),
+    lambda v: kl_divergence("vmf", 3, v),
+    lambda v: gamma_profile("vmf", 3, 3, v, 1.0),
+    lambda v: gamma_shift("vmf", 3, 3, v),
+    lambda v: slope("vmf", 3, 3, v),
+], ids=["quantile_stderr", "limit_quantile", "kl_divergence", "gamma_profile", "gamma_shift",
+        "slope"])
+@pytest.mark.parametrize("value", ["0.5", None], ids=["str", "None"])
+def test_a_level_or_concentration_that_is_not_a_real_number_is_an_input_error(call, value):
+    # a string or None must be refused before any float comparison, which raises TypeError
+    with pytest.raises(InputError, match="must"):
+        call(value)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2.5])

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import maxproj.harness as harness
 from conftest import SINGLE_THREAD, run_python
-from maxproj.cli import SUBCOMMANDS, main
+from maxproj.cli import SUBCOMMANDS, build_parser, main
 from maxproj.geometry import uniform_points
 from maxproj.harness import RunConfig, cmd_critvals, cmd_limit, write_rows
 from maxproj.rng import stream
@@ -347,6 +348,11 @@ def test_bad_power_is_a_usage_error(beta):
     assert "power must be an integer >= 1" in proc.stderr
 
 
+def test_the_parser_registers_the_table_and_bahadur():
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(SUBCOMMANDS) | {"bahadur"}
+
+
 #: a count below its minimum on each subcommand that registers the option
 COUNT_CASES = [
     (["critvals", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
@@ -362,7 +368,7 @@ COUNT_CASES = [
         ("--cover-m", "0", "cover_m must be an integer >= 1, got 0"),
         ("--beta", "0", "power must be an integer >= 1, got 0"),
     ]
-    for name, (_, flags) in SUBCOMMANDS.items() if flag in flags
+    for name, (_, flags, _) in SUBCOMMANDS.items() if flag in flags
 ]
 
 
@@ -501,10 +507,8 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_data, command, d, n, cover_m
         argv = [command, "--d", str(d), str(d + 2), "--format", fmt]
     else:
         # only the options the command registers, so that no example dies in argparse
-        options = (SUBCOMMANDS[command][1] if command in SUBCOMMANDS
-                   else ("--data", "--min-diameter"))
         argv = [command]
-        for flag in options:
+        for flag in SUBCOMMANDS[command][1]:
             if flag == "--alt":
                 argv += [f"--alt={a}" for a in alts]
             elif flag in values:

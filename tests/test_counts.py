@@ -64,6 +64,7 @@ COUNTS = {
     "limit_quantile workers": (1, lambda v: limit_quantile(2, 3, 0.95, "kernel", 20, 5,
                                                            workers=v)),
     "stream seed": (0, stream),
+    "stream index": (0, lambda v: stream(1, v)),
     "as_generator seed": (0, as_generator),
     "RunConfig seed": (0, lambda v: RunConfig(seed=v)),
 }

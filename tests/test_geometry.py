@@ -24,6 +24,13 @@ def test_surface_area_known_values():
     assert surface_area(1) == pytest.approx(2.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("d, m", [(3, "5"), ("3", 5), (3, None), (None, 5)],
+                         ids=["str m", "str d", "None m", "None d"])
+def test_make_cover_checks_its_counts_before_comparing_them(d, m):
+    with pytest.raises(InputError, match="must be an integer"):
+        make_cover(d, m, 0)
+
+
 def test_surface_area_rejects_nonpositive_dimension():
     with pytest.raises(InputError):
         surface_area(0)

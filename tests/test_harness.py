@@ -76,7 +76,7 @@ def test_dimension_and_cover_size_are_checked_up_front(bad, message):
 @pytest.mark.parametrize("field, message", [("n", "no sample size given"),
                                             ("betas", "no power given")])
 def test_empty_sample_sizes_or_powers_are_input_errors(field, message):
-    # an empty n would give cmd_critvals no row, and write_rows([]) an IndexError
+    # an empty n would give cmd_critvals no row to write
     with pytest.raises(InputError, match=message):
         small_config(**{field: ()})
 
@@ -196,6 +196,17 @@ def test_critical_value_tail_selection():
     assert critical_value(vals, 0.05, "ca25") == pytest.approx(0.05, abs=1e-3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: write_rows([]), "no rows to write"),
+    (lambda: critical_value(np.array([]), 0.05, "T1"), "no null values"),
+    (lambda: mc_pvalue([], 1.0, "T1"), "no null values"),
+], ids=["write_rows", "critical_value", "mc_pvalue"])
+def test_empty_input_is_an_input_error(call, message):
+    # no row has no header to write, and no null value no quantile or tail count
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_rejection_rates_directions():
     stats = {"T1": np.array([0.0, 1.0, 2.0, 3.0]), "ca25": np.array([0.01, 0.5, 0.9, 0.02])}
     rates = rejection_rates(stats, {"T1": 1.5, "ca25": 0.05})
@@ -303,6 +314,12 @@ def test_ingest_errors(tmp_path):
     mal.write_text("lat,lon\n10,xyz\n")
     with pytest.raises(DataError, match="mal.csv:2"):
         ingest(mal)
+    # each row is read once, so the first bad row in file order is named: the
+    # latitude of line 2, not the unparsable line 3
+    first = tmp_path / "first.csv"
+    first.write_text("lat,lon\n95,0\n1,abc\n")
+    with pytest.raises(DataError, match=r"first.csv:2: latitude 95.0 outside"):
+        ingest(first)
     missing = tmp_path / "nope.csv"
     with pytest.raises(DataError, match="cannot read"):
         ingest(missing)
